@@ -167,8 +167,7 @@ class _CountTracker:
         self.committed = self.counts.copy()
 
     def append(self, x: float, y: int) -> None:
-        wrong = self.top.predictions(np.array([x]))[:, 0] != (y == POS)
-        self.counts += wrong
+        self.counts += self.top.rows(x) != (y == POS)
 
     def commit(self) -> None:
         self.committed = self.counts.copy()

@@ -4,7 +4,8 @@ Subcommands: ``run`` (one config, CSV out), ``sweep`` (epsilon grid with
 growth ratios), ``validate`` (brute-force suite; nonzero exit on any
 mismatch), ``demo`` (SEARCH-only binary search). Config files are JSON in
 the ExperimentConfig schema; repeated ``--set key=value`` flags override
-fields. ORACLELAB_OUT sets the default output directory.
+fields. ORACLELAB_OUT sets the default output directory. A bad config or
+override exits with status 2 and a one-line message.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    ConfigError,
     ExperimentConfig,
     rows_to_csv,
     run_experiment,
@@ -32,11 +34,15 @@ def _out_dir() -> Path:
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+    try:
+        text = Path(args.config).read_text()
+    except OSError as e:
+        raise ConfigError(f"cannot read {args.config}: {e.strerror}") from None
+    cfg = ExperimentConfig.from_json(text)
     for item in args.set or []:
         key, _, raw = item.partition("=")
         if not hasattr(cfg, key):
-            raise SystemExit(f"unknown config field {key!r}")
+            raise ConfigError(f"unknown config field {key!r}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -132,7 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as e:
+        print(f"oraclelab: config error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +94,41 @@ class ExperimentConfig:
     validate_search: bool = False
     output: str | None = None
 
+    def _check_types(self) -> None:
+        def want(name: str, what: str, ok: bool) -> None:
+            if not ok:
+                got = getattr(self, name)
+                raise ConfigError(f"{name} must be {what}, got {got!r}")
+
+        def is_int(v) -> bool:
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+        def is_num(v) -> bool:
+            return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+        for name in ("algorithm", "family", "search_policy", "gamma"):
+            want(name, "a string", isinstance(getattr(self, name), str))
+        for name in ("k_max", "resolution", "n_cap"):
+            want(name, "an integer", is_int(getattr(self, name)))
+        for name in ("delta", "tau", "cost_cap"):
+            want(name, "a number", is_num(getattr(self, name)))
+        for name, ok, what in (
+            ("epsilons", is_num, "numbers"), ("seeds", is_int, "integers"),
+        ):
+            v = getattr(self, name)
+            want(name, f"a list of {what}",
+                 isinstance(v, (list, tuple)) and all(ok(e) for e in v))
+        for name in ("target", "noise"):
+            want(name, "an object", isinstance(getattr(self, name), dict))
+        want("seed_examples", "a list",
+             isinstance(self.seed_examples, (list, tuple)))
+        want("validate_search", "true or false",
+             isinstance(self.validate_search, bool))
+        want("output", "a path or null",
+             self.output is None or isinstance(self.output, str))
+
     def validate(self) -> None:
+        self._check_types()
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}"
@@ -118,17 +153,29 @@ class ExperimentConfig:
         kind = self.target.get("type")
         if kind not in ("threshold", "interval_union", "auto-interval"):
             raise ConfigError(f"unsupported target spec {self.target!r}")
-        if self.noise.get("kind", "realizable") not in (
-            "realizable", "rcn", "pointwise",
-        ):
-            raise ConfigError(f"unsupported noise spec {self.noise!r}")
+        try:
+            build_noise(self)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad noise spec {self.noise!r}: {e}") from None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        cfg = cls(**json.loads(text))
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"config is not valid JSON: {e}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config field(s) {', '.join(unknown)}")
+        try:
+            cfg = cls(**raw)
+        except TypeError as e:  # a required field is missing
+            raise ConfigError(str(e)) from None
         cfg.validate()
         return cfg
 

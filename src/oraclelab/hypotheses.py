@@ -21,6 +21,9 @@ Labels are +1 / -1. The instance distribution is uniform on [0,1].
 
 from __future__ import annotations
 
+import bisect
+import copy
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -30,10 +33,6 @@ import numpy as np
 
 POS = 1
 NEG = -1
-
-# hypotheses with more than this many survivors are chunked in bulk
-# prediction/err-count passes to bound peak memory
-_CHUNK_CELLS = 1 << 24
 
 
 class ExhaustionError(RuntimeError):
@@ -588,9 +587,18 @@ _EMPTY_SLOT = 1.5  # sentinel endpoint outside [0,1]: empty interval slot
 class EnumeratedClass:
     """Finite hypothesis class stored as an (n, slots, 2) endpoint array.
 
-    Unused interval slots hold the out-of-range sentinel so vectorized
-    prediction and measure formulas need no masking. ``kind`` only decides
-    how a member materializes (Threshold vs IntervalUnion).
+    Unused interval slots hold the out-of-range sentinel and come after
+    the real ones, which are sorted and disjoint as in ``IntervalUnion``.
+    ``kind`` only decides how a member materializes (Threshold vs
+    IntervalUnion).
+
+    Evaluation runs on cell codes. The sorted distinct real endpoints
+    ``cuts`` (for a ``prefix`` class, those of the class it was cut from)
+    split the line into 2*len(cuts)+1 cells: code 2j+1 is the
+    point cuts[j], code 2j the open gap just below it, and code
+    2*len(cuts) everything above the last cut. Every member predicts one
+    label per cell, so a slot [cuts[a], cuts[b]] is the code range
+    2a+1..2b+1 and an empty slot the empty range 0..-1.
     """
 
     def __init__(
@@ -608,9 +616,42 @@ class EnumeratedClass:
         self.bounds = bounds
         self.kind = kind
         self.grid = grid
+        ends = np.unique(bounds)
+        self.cuts = ends[ends <= 1.0]
+        # cuts plus +inf: defined at every index searchsorted can return
+        self._probe = np.append(self.cuts, np.inf)
+        self._probe_list = self._probe.tolist()
+        n_codes = 2 * len(self.cuts) + 1
+        lo = 2 * np.searchsorted(self.cuts, bounds[:, :, 0]) + 1
+        hi = 2 * np.searchsorted(self.cuts, bounds[:, :, 1]) + 1
+        real = lo < n_codes  # an endpoint past 1 codes past the last cell
+        self._lo = np.where(real, lo, 0)
+        self._hi = np.where(real, hi, -1)
+        ordered = real[:, :-1] & (lo[:, 1:] > hi[:, :-1])
+        if not (
+            np.all(self.cuts[:1] >= 0.0)
+            and np.all(~real | ((lo <= hi) & (hi < n_codes)))
+            and np.all(~real[:, 1:] | ordered)
+        ):
+            raise ValueError(
+                f"{class_id}: real slots must be sorted, disjoint intervals "
+                "in [0,1] ahead of the empty ones"
+            )
+        self._table: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.bounds.shape[0]
+
+    def prefix(
+        self, n: int, class_id: str, k: int, vc_dim: int
+    ) -> "EnumeratedClass":
+        """The first n members as a class of their own. It keeps this
+        class's cuts, so its codes are slices of these."""
+        sub = copy.copy(self)
+        sub.class_id, sub.k, sub.vc_dim = class_id, k, vc_dim
+        sub.bounds, sub._lo, sub._hi = self.bounds[:n], self._lo[:n], self._hi[:n]
+        sub._table = None
+        return sub
 
     def hypothesis(self, index: int) -> Hypothesis:
         row = self.bounds[index]
@@ -631,21 +672,44 @@ class EnumeratedClass:
         """Canonical index of an exact member, or None."""
         if isinstance(h, Indexed):
             return h.index if h.class_id == self.class_id else None
-        for j in range(len(self)):
-            if self.hypothesis(j) == h:
-                return j
-        return None
+        if isinstance(h, Threshold) != (self.kind == "thresholds"):
+            return None
+        segs = positive_segments(h)
+        row = np.full(self.bounds.shape[1:], _EMPTY_SLOT)
+        if len(segs) > len(row):
+            return None
+        row[: len(segs)] = np.reshape(segs, (-1, 2))
+        hits = np.flatnonzero((self.bounds == row).all(axis=(1, 2)))
+        return int(hits[0]) if len(hits) else None
+
+    def codes(self, xs) -> np.ndarray:
+        """Cell code of each point; a scalar gives a scalar."""
+        if isinstance(xs, float):  # one point: bisect skips numpy's call overhead
+            j = bisect.bisect_left(self._probe_list, xs)
+            return 2 * j + (self._probe_list[j] == xs)
+        j = np.searchsorted(self.cuts, xs)
+        return 2 * j + (self._probe[j] == xs)
+
+    def rows(self, xs) -> np.ndarray:
+        """Positive predictions of every member at each point, as rows of
+        the (codes, members) table: (points, members), or (members,) for a
+        scalar. The table is built on first use."""
+        if self._table is None:
+            c = np.arange(2 * len(self.cuts) + 1)[:, None]
+            table = np.zeros((len(c), len(self)), dtype=bool)
+            for s in range(self.bounds.shape[1]):
+                table |= (c >= self._lo[:, s]) & (c <= self._hi[:, s])
+            self._table = table
+        return self._table[self.codes(xs)]
 
     def predictions(
         self, xs: np.ndarray, indices: np.ndarray | None = None
     ) -> np.ndarray:
         """Boolean positive-prediction matrix, rows = hypotheses."""
-        xs = np.asarray(xs, dtype=np.float64)
-        b = self.bounds if indices is None else self.bounds[indices]
-        inside = (xs[None, None, :] >= b[:, :, 0:1]) & (
-            xs[None, None, :] <= b[:, :, 1:2]
-        )
-        return inside.any(axis=1)
+        rows = self.rows(np.asarray(xs, dtype=np.float64))
+        if indices is not None:
+            rows = rows[:, indices]
+        return np.ascontiguousarray(rows.T)
 
     def err_counts(
         self,
@@ -653,23 +717,24 @@ class EnumeratedClass:
         ys: np.ndarray,
         indices: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Exact integer error counts of each (selected) hypothesis."""
-        xs = np.asarray(xs, dtype=np.float64)
+        """Exact integer error counts of each (selected) hypothesis.
+
+        A member errs on the positives outside its slots and the negatives
+        inside them, so its count is #positives plus, per slot, the
+        (negatives - positives) balance of the slot's code range: a
+        difference of two prefix sums over the per-code histogram.
+        """
+        codes = self.codes(np.asarray(xs, dtype=np.float64))
         y_pos = np.asarray(ys) == POS
-        b = self.bounds if indices is None else self.bounds[indices]
-        n = b.shape[0]
-        if n == 0 or xs.size == 0:
-            return np.zeros(n, dtype=np.int64)
-        chunk = max(1, _CHUNK_CELLS // max(1, xs.size))
-        out = np.empty(n, dtype=np.int64)
-        for s in range(0, n, chunk):
-            bb = b[s : s + chunk]
-            inside = (xs[None, None, :] >= bb[:, :, 0:1]) & (
-                xs[None, None, :] <= bb[:, :, 1:2]
-            )
-            pred_pos = inside.any(axis=1)
-            out[s : s + len(bb)] = (pred_pos != y_pos[None, :]).sum(axis=1)
-        return out
+        n_codes = 2 * len(self.cuts) + 1
+        balance = np.bincount(codes[~y_pos], minlength=n_codes) - np.bincount(
+            codes[y_pos], minlength=n_codes
+        )
+        prefix = np.concatenate(([0], np.cumsum(balance)))
+        lo, hi = self._lo, self._hi
+        if indices is not None:
+            lo, hi = lo[indices], hi[indices]
+        return int(y_pos.sum()) + (prefix[hi + 1] - prefix[lo]).sum(axis=1)
 
     def consistent_mask(self, examples: Iterable[tuple[float, int]]) -> np.ndarray:
         exs = list(examples)
@@ -734,41 +799,53 @@ class MaskedVersionSpace:
         return self.replace_mask(self.mask & self.cls.consistent_mask(extra))
 
     def _breakpoints(self) -> np.ndarray:
-        b = self.cls.bounds[self.mask]
-        pts = b[b <= 1.0]
-        return np.unique(np.concatenate(([0.0, 1.0], pts.ravel())))
+        """0, 1 and every real endpoint of a survivor."""
+        cls = self.cls
+        # np.compress gathers rows several times faster than a boolean index
+        ends = np.concatenate(
+            [np.compress(self.mask, c, axis=0) for c in (cls._lo, cls._hi)], axis=None
+        )
+        used = np.zeros(len(cls.cuts), dtype=bool)
+        used[(ends[ends > 0] - 1) // 2] = True  # real codes are 2j+1
+        return np.unique(np.concatenate(([0.0, 1.0], cls.cuts[used])))
+
+    def _verdicts(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per point: (in DIS, unanimous survivor label or 0)."""
+        rows = np.compress(self.mask, self.cls.rows(xs), axis=1)
+        all_pos = rows.all(axis=1)
+        dis = rows.any(axis=1) & ~all_pos
+        label = np.where(all_pos, POS, NEG).astype(np.int8)
+        label[dis] = 0
+        return dis, label
 
     def partition(self) -> Partition:
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space")
         if self._partition is None:
-            idx = self.survivor_indices()
             breaks = self._breakpoints()
-            mids = 0.5 * (breaks[:-1] + breaks[1:])
-            pred_seg = self.cls.predictions(mids, idx)
-            pred_pt = self.cls.predictions(breaks, idx)
-            seg_dis = pred_seg.any(axis=0) & ~pred_seg.all(axis=0)
-            seg_label = np.where(pred_seg.all(axis=0), POS, NEG).astype(np.int8)
-            seg_label[seg_dis] = 0
-            pt_dis = pred_pt.any(axis=0) & ~pred_pt.all(axis=0)
-            pt_label = np.where(pred_pt.all(axis=0), POS, NEG).astype(np.int8)
-            pt_label[pt_dis] = 0
+            seg_dis, seg_label = self._verdicts(0.5 * (breaks[:-1] + breaks[1:]))
+            pt_dis, pt_label = self._verdicts(breaks)
             self._partition = Partition(breaks, seg_dis, seg_label, pt_dis, pt_label)
         return self._partition
+
+    def _votes(self, x: float) -> tuple[bool, bool]:
+        """(some survivor predicts +1 at x, some survivor predicts -1)."""
+        row = self.cls.rows(x)[self.mask]
+        return bool(row.any()), not bool(row.all())
 
     def dis_contains(self, x: float) -> bool:
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space has no DIS")
-        preds = self.cls.predictions(np.array([x]), self.survivor_indices())[:, 0]
-        return bool(preds.any() and not preds.all())
+        some_pos, some_neg = self._votes(x)
+        return some_pos and some_neg
 
     def agreement_label(self, x: float) -> int:
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space")
-        preds = self.cls.predictions(np.array([x]), self.survivor_indices())[:, 0]
-        if preds.any() and not preds.all():
+        some_pos, some_neg = self._votes(x)
+        if some_pos and some_neg:
             raise ValueError(f"x={x} lies in the disagreement region")
-        return POS if preds[0] else NEG
+        return POS if some_pos else NEG
 
     def dis_region(self) -> RegionOfDisagreement:
         return self.partition().dis_region()
@@ -843,17 +920,19 @@ class NestedClassSequence:
         # single-interval or threshold classes
         grid = np.linspace(0.0, 1.0, resolution)
         dims = {k: (0 if k == 0 else 2 * k) for k in range(K_max + 1)}
-        classes = []
-        prev = np.full((1, K_max if K_max > 0 else 1, 2), _EMPTY_SLOT)
-        classes.append(
-            EnumeratedClass("intervals_k0", 0, 0, prev.copy(), "intervals", grid)
+        slots = max(K_max, 1)
+        blocks = [np.full((1, slots, 2), _EMPTY_SLOT)] + [
+            _exact_k_interval_rows(grid, k, slots) for k in range(1, K_max + 1)
+        ]
+        top = EnumeratedClass(
+            f"intervals_k{K_max}", K_max, dims[K_max], np.concatenate(blocks),
+            "intervals", grid,
         )
-        for k in range(1, K_max + 1):
-            new_rows = _exact_k_interval_rows(grid, k, K_max)
-            bounds = np.concatenate([classes[-1].bounds, new_rows], axis=0)
-            classes.append(
-                EnumeratedClass(f"intervals_k{k}", k, dims[k], bounds, "intervals", grid)
-            )
+        sizes = np.cumsum([len(b) for b in blocks])
+        classes = [
+            top.prefix(int(sizes[k]), f"intervals_k{k}", k, dims[k])
+            for k in range(K_max)
+        ] + [top]
         return cls("enumerated", K_max, dims, classes, grid)
 
     @classmethod
@@ -909,28 +988,22 @@ class NestedClassSequence:
 
 
 def _exact_k_interval_rows(grid: np.ndarray, k: int, slots: int) -> np.ndarray:
-    """All unions of exactly k disjoint nonempty closed grid intervals."""
-    r = len(grid)
-    rows: list[list[float]] = []
+    """All unions of exactly k disjoint nonempty closed grid intervals, in
+    lexicographic order of their endpoint indices.
 
-    def rec(start: int, chosen: list[tuple[int, int]]):
-        if len(chosen) == k:
-            row = []
-            for a, b in chosen:
-                row.extend((grid[a], grid[b]))
-            rows.append(row)
-            return
-        remaining = k - len(chosen) - 1  # intervals still to place afterwards
-        for a in range(start, r - remaining):
-            for b in range(a, r - remaining):
-                rec(b + 1, chosen + [(a, b)])
-
-    rec(0, [])
-    out = np.full((len(rows), slots, 2), _EMPTY_SLOT)
-    for i, row in enumerate(rows):
-        for j in range(k):
-            out[i, j, 0] = row[2 * j]
-            out[i, j, 1] = row[2 * j + 1]
+    Indices a1 <= b1 < a2 <= b2 < ... <= bk in range(r) map one to one,
+    order preserving, onto the strictly increasing 2k-tuples
+    (a1, b1+1, a2+1, b2+2, ..., bk+k) in range(r+k): the 2k-combinations,
+    which itertools emits in lexicographic order.
+    """
+    n = math.comb(len(grid) + k, 2 * k)
+    flat = itertools.chain.from_iterable(
+        itertools.combinations(range(len(grid) + k), 2 * k)
+    )
+    shifted = np.fromiter(flat, dtype=np.intp, count=2 * k * n).reshape(n, 2 * k)
+    ends = shifted - (np.arange(2 * k) + 1) // 2
+    out = np.full((n, slots, 2), _EMPTY_SLOT)
+    out[:, :k] = grid[ends].reshape(n, k, 2)
     return out
 
 

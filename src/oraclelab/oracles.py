@@ -66,8 +66,8 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "rcn" and not 0.0 <= self.eta < 0.5:
             raise ValueError(f"rcn noise rate must lie in [0, 1/2), got {self.eta}")
-        if self.kind == "pointwise" and not self.table:
-            raise ValueError("pointwise noise needs a flip-probability table")
+        if self.kind == "pointwise":
+            _check_noise_table(self.table)
 
     @property
     def nu(self) -> float:
@@ -87,6 +87,27 @@ class NoiseModel:
         for lo, hi, p in self.table:
             out[(xs >= lo) & (xs <= hi)] = p
         return out
+
+
+def _check_noise_table(table) -> None:
+    """A pointwise table must tile [0,1] with pieces (lo, hi, p), lo < hi,
+    each piece starting where the previous one ends, and p in [0, 1/2)."""
+    if not table:
+        raise ValueError("pointwise noise needs a flip-probability table")
+    end = 0.0
+    for lo, hi, p in sorted(table):
+        if lo != end:
+            raise ValueError(
+                f"noise table pieces must tile [0,1]: piece ({lo}, {hi}) "
+                f"starts at {lo}, the previous one ends at {end}"
+            )
+        if not lo < hi:
+            raise ValueError(f"noise table piece ({lo}, {hi}) is empty")
+        if not 0.0 <= p < 0.5:
+            raise ValueError(f"flip probability {p} outside [0, 1/2)")
+        end = hi
+    if end != 1.0:
+        raise ValueError(f"noise table covers [0, {end}], not [0, 1]")
 
 
 @dataclass

@@ -49,6 +49,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             small_larch_config(seeds=[]).validate()
 
+    def test_unknown_field_in_json(self):
+        text = json.dumps({"algorithm": "larch", "epsilon": 0.1})
+        with pytest.raises(ConfigError, match="unknown config field.*epsilon"):
+            ExperimentConfig.from_json(text)
+
+    def test_seeds_must_be_integers(self):
+        with pytest.raises(ConfigError, match="seeds"):
+            small_larch_config(seeds="abc").validate()
+        with pytest.raises(ConfigError, match="seeds"):
+            small_larch_config(seeds=[0, "1"]).validate()
+
+    def test_delta_must_be_a_number(self):
+        with pytest.raises(ConfigError, match="delta"):
+            small_larch_config(delta="x").validate()
+
+    def test_bad_noise_table(self):
+        noise = {"kind": "pointwise", "table": [[0.0, 0.5, 0.9]]}
+        with pytest.raises(ConfigError, match="noise"):
+            small_larch_config(noise=noise).validate()
+
     def test_json_roundtrip(self):
         cfg = small_larch_config()
         again = ExperimentConfig.from_json(cfg.to_json())
@@ -216,6 +236,32 @@ class TestCli:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 3 and lines[2].split(",")[1] == "3"
+
+
+class TestCliConfigErrors:
+    @pytest.mark.parametrize(
+        "fields,overrides,match",
+        [
+            ({"bogus": 1}, [], "unknown config field"),
+            ({}, ["--set", 'seeds="abc"'], "seeds"),
+            ({}, ["--set", "seeds=abc"], "seeds"),
+            ({}, ["--set", 'delta="x"'], "delta"),
+            ({}, ["--set", "nope=1"], "unknown config field"),
+        ],
+    )
+    def test_one_line_and_nonzero_exit(self, tmp_path, capsys, fields,
+                                       overrides, match):
+        data = json.loads(small_larch_config(seeds=[0]).to_json())
+        data.update(fields)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        rc = cli.main(["run", "--config", str(cfg_path), *overrides,
+                       "--output", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.strip().splitlines()) == 1
+        assert match in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestCliSweep:

@@ -46,6 +46,27 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel("bogus")
 
+    @pytest.mark.parametrize(
+        "table,match",
+        [
+            (((0.0, 0.5, 0.9),), "outside"),  # used to give nu=0.45 silently
+            (((0.0, 0.5, 0.1),), "covers"),
+            (((0.0, 0.4, 0.1), (0.5, 1.0, 0.1)), "tile"),
+            (((0.0, 0.6, 0.1), (0.5, 1.0, 0.1)), "tile"),
+            (((0.1, 1.0, 0.1),), "tile"),
+            (((0.0, 0.5, 0.1), (0.5, 0.5, 0.1), (0.5, 1.0, 0.1)), "empty"),
+            (((0.0, 1.0, 0.5),), "outside"),
+            (((0.0, 1.0, -0.1),), "outside"),
+        ],
+    )
+    def test_pointwise_table_must_tile_unit_interval(self, table, match):
+        with pytest.raises(ValueError, match=match):
+            NoiseModel("pointwise", table=table)
+
+    def test_pointwise_table_in_any_order(self):
+        pw = NoiseModel("pointwise", table=((0.5, 1.0, 0.0), (0.0, 0.5, 0.2)))
+        assert pw.nu == pytest.approx(0.1)
+
 
 class TestLabelOracle:
     def test_realizable_returns_target_label(self):
