@@ -621,7 +621,7 @@ class EnumeratedClass:
         # cuts plus +inf: defined at every index searchsorted can return
         self._probe = np.append(self.cuts, np.inf)
         self._probe_list = self._probe.tolist()
-        n_codes = 2 * len(self.cuts) + 1
+        self._n_codes = n_codes = 2 * len(self.cuts) + 1
         lo = 2 * np.searchsorted(self.cuts, bounds[:, :, 0]) + 1
         hi = 2 * np.searchsorted(self.cuts, bounds[:, :, 1]) + 1
         real = lo < n_codes  # an endpoint past 1 codes past the last cell
@@ -695,21 +695,16 @@ class EnumeratedClass:
         the (codes, members) table: (points, members), or (members,) for a
         scalar. The table is built on first use."""
         if self._table is None:
-            c = np.arange(2 * len(self.cuts) + 1)[:, None]
+            c = np.arange(self._n_codes)[:, None]
             table = np.zeros((len(c), len(self)), dtype=bool)
             for s in range(self.bounds.shape[1]):
                 table |= (c >= self._lo[:, s]) & (c <= self._hi[:, s])
             self._table = table
         return self._table[self.codes(xs)]
 
-    def predictions(
-        self, xs: np.ndarray, indices: np.ndarray | None = None
-    ) -> np.ndarray:
+    def predictions(self, xs: np.ndarray) -> np.ndarray:
         """Boolean positive-prediction matrix, rows = hypotheses."""
-        rows = self.rows(np.asarray(xs, dtype=np.float64))
-        if indices is not None:
-            rows = rows[:, indices]
-        return np.ascontiguousarray(rows.T)
+        return np.ascontiguousarray(self.rows(np.asarray(xs, dtype=np.float64)).T)
 
     def err_counts(
         self,
@@ -726,9 +721,8 @@ class EnumeratedClass:
         """
         codes = self.codes(np.asarray(xs, dtype=np.float64))
         y_pos = np.asarray(ys) == POS
-        n_codes = 2 * len(self.cuts) + 1
-        balance = np.bincount(codes[~y_pos], minlength=n_codes) - np.bincount(
-            codes[y_pos], minlength=n_codes
+        balance = np.bincount(codes[~y_pos], minlength=self._n_codes) - np.bincount(
+            codes[y_pos], minlength=self._n_codes
         )
         prefix = np.concatenate(([0], np.cumsum(balance)))
         lo, hi = self._lo, self._hi

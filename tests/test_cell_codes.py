@@ -24,16 +24,17 @@ from oraclelab.hypotheses import (
 )
 
 
-def dense_predictions(bounds, xs, indices=None):
-    b = bounds if indices is None else bounds[indices]
+def dense_predictions(bounds, xs):
     xs = np.asarray(xs, dtype=np.float64)
-    inside = (xs[None, None, :] >= b[:, :, 0:1]) & (xs[None, None, :] <= b[:, :, 1:2])
+    inside = (xs[None, None, :] >= bounds[:, :, 0:1]) & (
+        xs[None, None, :] <= bounds[:, :, 1:2]
+    )
     return inside.any(axis=1)
 
 
 def dense_err_counts(bounds, xs, ys, indices=None):
-    pred = dense_predictions(bounds, xs, indices)
-    return (pred != (np.asarray(ys) == POS)[None, :]).sum(axis=1)
+    b = bounds if indices is None else bounds[indices]
+    return (dense_predictions(b, xs) != (np.asarray(ys) == POS)[None, :]).sum(axis=1)
 
 
 def recursive_rows(grid, k, slots):
@@ -105,10 +106,8 @@ def test_kernels_match_dense_formula(seed):
         ys = rng.choice([-1, 1], size=len(xs))
         size = max(1, len(cls) // 3)
         subset = np.sort(rng.choice(len(cls), size=size, replace=False))
+        assert np.array_equal(cls.predictions(xs), dense_predictions(cls.bounds, xs))
         for idx in (None, subset):
-            assert np.array_equal(
-                cls.predictions(xs, idx), dense_predictions(cls.bounds, xs, idx)
-            )
             got = cls.err_counts(xs, ys, idx)
             assert got.dtype == np.int64
             assert np.array_equal(got, dense_err_counts(cls.bounds, xs, ys, idx))
