@@ -119,11 +119,9 @@ def run_al(
     masks: list[np.ndarray] = []
     for i in range(1, cap + 1):
         m = 2**i
-        records, _ = sal_batch(vs, bundle, m)
-        xs = np.array([r.x for r in records])
-        ys = np.array([r.y for r in records], dtype=np.int8)
+        batch, _ = sal_batch(vs, bundle, m)
         idx = vs.survivor_indices()
-        counts = vs.cls.err_counts(xs, ys, idx)
+        counts = vs.cls.err_counts(batch.xs, batch.ys, idx)
         best_local = int(np.argmin(counts))
         hhat_index = int(idx[best_local])
         b = counts[best_local] / m  # exact: power-of-two denominator

@@ -35,6 +35,7 @@ from .hypotheses import (
     LabeledExample,
     MaskedVersionSpace,
     NestedClassSequence,
+    as_arrays,
 )
 from .oracles import DrawnExample, OracleBundle, QueryLedger, sal_step
 
@@ -64,12 +65,6 @@ def _delta_of_class(delta: float, k: int) -> float:
     return delta / ((k + 1) * (k + 2))
 
 
-def _as_xy(labeled: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.array([e[0] for e in labeled], dtype=np.float64)
-    ys = np.array([e[1] for e in labeled], dtype=np.int8)
-    return xs, ys
-
-
 def error_check(
     vs: MaskedVersionSpace,
     labeled: Sequence,
@@ -91,7 +86,7 @@ def error_check(
     l = len(labeled)
     if l == 0 or vs.is_empty():
         return False
-    xs, ys = _as_xy(labeled)
+    xs, ys = as_arrays(labeled)
     assert seq.classes is not None
     gamma = math.inf
     for kp in range(k, seq.K_max + 1):
@@ -122,7 +117,7 @@ def prune_version_space(
     l = len(labeled)
     if l == 0 or vs.is_empty():
         return vs
-    xs, ys = _as_xy(labeled)
+    xs, ys = as_arrays(labeled)
     idx = vs.survivor_indices()
     counts = vs.cls.err_counts(xs, ys, idx)
     b = counts.min() / l

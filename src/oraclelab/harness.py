@@ -392,19 +392,21 @@ def _run_passive(config, bundle, epsilon) -> tuple:
     the simulation's measurement device)."""
     d = 2 * max(config.k_max, 1)
     cap = 4 * sample_size_cap(d, epsilon, config.delta)
-    all_x = np.empty(0)
-    all_y = np.empty(0, dtype=np.int8)
+    sx = np.empty(0)  # the sample so far, sorted by x
+    sy = np.empty(0, dtype=np.int8)
     h = IntervalUnion(())
     steps = 0
     chunk = 64
     while bundle.exact_error(h) > epsilon and steps < cap:
         xs = bundle.draw(chunk)
         ys = bundle.label_query_batch(xs)
-        all_x = np.concatenate([all_x, xs])
-        all_y = np.concatenate([all_y, ys])
         steps += chunk
-        order = np.argsort(all_x, kind="stable")
-        sx, sy = all_x[order], all_y[order]
+        # merge the sorted chunk in; new points go after equal old ones,
+        # as a stable sort of the whole sample would put them
+        order = np.argsort(xs, kind="stable")
+        cx, cy = xs[order], ys[order]
+        at = np.searchsorted(sx, cx, side="right")
+        sx, sy = np.insert(sx, at, cx), np.insert(sy, at, cy)
         pos = sy == 1
         starts = pos & ~np.concatenate(([False], pos[:-1]))
         ends = pos & ~np.concatenate((pos[1:], [False]))

@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import copy
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -193,14 +192,6 @@ class RegionOfDisagreement:
     segments: tuple[tuple[float, float], ...]
     mass: float
 
-    def contains(self, x: float) -> bool:
-        for lo, hi in self.segments:
-            if lo < x < hi:
-                return True
-            if x <= lo:
-                break
-        return False
-
 
 class Partition:
     """Piecewise classification of [0,1] induced by a version space.
@@ -208,6 +199,12 @@ class Partition:
     Breakpoints split [0,1] into open segments on which every member's
     prediction is constant; each segment (and each breakpoint) is either
     in the disagreement region or carries the unanimous label.
+
+    ``breaks`` keeps every breakpoint the version space hands in. The
+    lookups run on merged cells: a breakpoint whose verdict and both of
+    whose segments' verdicts agree is dropped, so a version space with
+    hundreds of constraint points classifies against a handful of cells.
+    A verdict is the unanimous label, or 0 inside DIS.
     """
 
     def __init__(
@@ -219,50 +216,40 @@ class Partition:
         pt_label: np.ndarray,
     ):
         self.breaks = breaks
-        self.seg_dis = seg_dis
-        self.seg_label = seg_label
-        self.pt_dis = pt_dis
-        self.pt_label = pt_label
+        seg = np.where(seg_dis, 0, seg_label).astype(np.int8)
+        pt = np.where(pt_dis, 0, pt_label).astype(np.int8)
+        # segment j+1 opens a new cell unless breakpoint j+1 and the
+        # segments on both sides of it share one verdict
+        opens = (seg[1:] != seg[:-1]) | (pt[1:-1] != seg[1:])
+        keep = np.concatenate(([True], opens, [True]))
+        self._edges = breaks[keep]  # cell boundaries, 0 and 1 included
+        self._cell = seg[keep[:-1]]
+        # searchsorted(side="right") sends a point on an edge to the cell
+        # on its right (on the last break, to the last cell); the edges
+        # whose own verdict differs from that cell's are the exact hits
+        # that need it
+        edge_pt = pt[keep]
+        right = np.minimum(np.arange(len(edge_pt)), len(self._cell) - 1)
+        off = edge_pt != self._cell[right]
+        self._hits, self._hit_verdict = self._edges[off], edge_pt[off]
 
     def classify(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per point: (in disagreement region, unanimous label or 0)."""
         xs = np.asarray(xs, dtype=np.float64)
-        idx = np.searchsorted(self.breaks, xs, side="right") - 1
-        idx = np.clip(idx, 0, len(self.breaks) - 2)
-        in_dis = self.seg_dis[idx].copy()
-        labels = self.seg_label[idx].copy()
-        # points landing exactly on a breakpoint get the pointwise verdict;
-        # the right endpoint of the final segment needs its own check
-        pt_idx = np.where(xs == self.breaks[-1], len(self.breaks) - 1, idx)
-        exact = xs == self.breaks[pt_idx]
-        if np.any(exact):
-            where = np.nonzero(exact)[0]
-            in_dis[where] = self.pt_dis[pt_idx[where]]
-            labels[where] = self.pt_label[pt_idx[where]]
-        labels = np.where(in_dis, 0, labels)
-        return in_dis, labels.astype(np.int8)
+        labels = self._cell[np.searchsorted(self._edges[1:-1], xs, side="right")]
+        if len(self._hits):
+            hit = np.flatnonzero(np.isin(xs, self._hits))
+            if len(hit):
+                at = np.searchsorted(self._hits, xs[hit])
+                labels[hit] = self._hit_verdict[at]
+        return labels == 0, labels
 
     def dis_region(self) -> RegionOfDisagreement:
-        segs: list[tuple[float, float]] = []
-        n_seg = len(self.seg_dis)
-        i = 0
-        while i < n_seg:
-            if not self.seg_dis[i]:
-                i += 1
-                continue
-            lo = self.breaks[i]
-            j = i
-            # extend across breakpoints that are themselves in DIS
-            while (
-                j + 1 < n_seg
-                and self.seg_dis[j + 1]
-                and self.pt_dis[j + 1]
-            ):
-                j += 1
-            segs.append((float(lo), float(self.breaks[j + 1])))
-            i = j + 1
-        mass = segments_mass(segs)
-        return RegionOfDisagreement(tuple(segs), mass)
+        # neighbouring DIS cells are always split by a forced edge, so
+        # each DIS cell is one maximal segment
+        dis = np.flatnonzero(self._cell == 0)
+        segs = tuple(zip(self._edges[dis].tolist(), self._edges[dis + 1].tolist()))
+        return RegionOfDisagreement(segs, segments_mass(segs))
 
 
 # ---------------------------------------------------------------------------
@@ -270,25 +257,44 @@ class Partition:
 # ---------------------------------------------------------------------------
 
 
-def _dedup_examples(
-    examples: Iterable[tuple[float, int]],
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Sorted distinct constraint points. Returns (xs, ys, conflict)."""
-    pts: dict[float, int] = {}
-    conflict = False
-    for x, y in examples:
-        y = int(y)
-        if y not in (POS, NEG):
-            raise ValueError(f"label must be +/-1, got {y}")
-        if x in pts and pts[x] != y:
-            conflict = True
-        pts[x] = pts.get(x, y)
-    xs = np.array(sorted(pts), dtype=np.float64)
-    ys = np.array([pts[x] for x in xs], dtype=np.int8)
-    return xs, ys, conflict
+Examples = Union[Iterable[tuple[float, int]], tuple[np.ndarray, np.ndarray]]
 
 
-def positive_run_count(examples: Iterable[tuple[float, int]]) -> int | None:
+def as_arrays(examples: Examples) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) columns of a constraint set given either as an iterable of
+    (x, y) pairs or as an (xs, ys) pair of arrays; a tuple of two arrays
+    is always read as columns."""
+    if (
+        isinstance(examples, tuple)
+        and len(examples) == 2
+        and all(isinstance(a, np.ndarray) for a in examples)
+    ):
+        xs, ys = examples
+        return np.asarray(xs, dtype=np.float64), ys
+    rows = np.array(list(examples), dtype=np.float64)
+    if rows.size == 0:
+        rows = rows.reshape(0, 2)
+    return np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1])
+
+
+def _dedup_examples(examples: Examples) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Sorted distinct constraint points, the first label seen at each x
+    winning. Returns (xs, ys, conflict): conflict is True when some x
+    also carries the other label."""
+    xs, ys = as_arrays(examples)
+    bad = (ys != POS) & (ys != NEG)
+    if bad.any():
+        raise ValueError(f"label must be +/-1, got {ys[bad][0]}")
+    order = np.argsort(xs, kind="stable")  # equal xs keep their input order
+    xs, ys = xs[order], ys[order]
+    first = np.ones(len(xs), dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    ys_first = ys[first]
+    conflict = bool(np.any(ys != ys_first[np.cumsum(first) - 1]))
+    return xs[first], ys_first.astype(np.int8), conflict
+
+
+def positive_run_count(examples: Examples) -> int | None:
     """Number of maximal runs of consecutive +1 labels in x-sorted order,
     or None when some point carries both labels (no classifier fits)."""
     xs, ys, conflict = _dedup_examples(examples)
@@ -297,9 +303,7 @@ def positive_run_count(examples: Iterable[tuple[float, int]]) -> int | None:
     return _count_runs(ys)
 
 
-def is_realizable_by_k_intervals(
-    examples: Iterable[tuple[float, int]], k: int
-) -> bool:
+def is_realizable_by_k_intervals(examples: Examples, k: int) -> bool:
     """True iff some union of <= k closed intervals fits every example."""
     runs = positive_run_count(examples)
     return runs is not None and runs <= k
@@ -308,7 +312,7 @@ def is_realizable_by_k_intervals(
 class IntervalVersionSpace:
     """H_k(S): unions of at most k closed intervals consistent with S."""
 
-    def __init__(self, k: int, examples: Iterable[tuple[float, int]] = ()):
+    def __init__(self, k: int, examples: Examples = ()):
         self.k = k
         self.xs, self.ys, conflict = _dedup_examples(examples)
         self._runs = None if conflict else _count_runs(self.ys)
@@ -324,10 +328,11 @@ class IntervalVersionSpace:
     def examples(self) -> list[LabeledExample]:
         return [LabeledExample(float(x), int(y)) for x, y in zip(self.xs, self.ys)]
 
-    def with_examples(
-        self, extra: Iterable[tuple[float, int]]
-    ) -> "IntervalVersionSpace":
-        merged = list(zip(self.xs, self.ys)) + [(float(x), int(y)) for x, y in extra]
+    def with_examples(self, extra: Examples) -> "IntervalVersionSpace":
+        """The constraints so far plus ``extra``; on a repeated x the
+        older label wins."""
+        xs, ys = as_arrays(extra)
+        merged = np.concatenate((self.xs, xs)), np.concatenate((self.ys, ys))
         return IntervalVersionSpace(self.k, merged)
 
     # Feasibility deltas for inserting a forced label into a gap: a new
@@ -355,12 +360,9 @@ class IntervalVersionSpace:
         constraint."""
         if self.is_empty():
             return False
-        segs = positive_segments(h)
-        if len(segs) > self.k:
+        if len(positive_segments(h)) > self.k:
             return False
-        return all(
-            predict(h, float(x)) == int(y) for x, y in zip(self.xs, self.ys)
-        )
+        return bool(np.array_equal(predict_batch(h, self.xs), self.ys))
 
     def dis_contains(self, x: float) -> bool:
         if self.is_empty():
@@ -386,44 +388,22 @@ class IntervalVersionSpace:
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space")
         if self._partition is None:
-            runs = self._runs
             n = len(self.xs)
             pos = self.ys == POS
             # gap g in 0..n lies between constraint g-1 and constraint g
-            left_pos = np.zeros(n + 1, dtype=bool)
-            left_pos[1:] = pos
-            right_pos = np.zeros(n + 1, dtype=bool)
-            right_pos[:n] = pos
-            d_pos = np.where(left_pos | right_pos, 0, 1)
-            d_neg = np.where(left_pos & right_pos, 1, 0)
-            ok_pos = runs + d_pos <= self.k
-            ok_neg = runs + d_neg <= self.k
-            gap_dis = ok_pos & ok_neg
-            gap_label = np.where(ok_pos, POS, NEG).astype(np.int8)
-            gap_label[gap_dis] = 0
-
+            left_pos = np.concatenate(([False], pos))
+            right_pos = np.concatenate((pos, [False]))
+            ok_pos = self._runs + ~(left_pos | right_pos) <= self.k
+            ok_neg = self._runs + (left_pos & right_pos) <= self.k
+            gap = np.where(ok_pos & ok_neg, 0, np.where(ok_pos, POS, NEG))
             raw = np.concatenate(([0.0], self.xs, [1.0]))
             keep = raw[1:] > raw[:-1]  # drop zero-length end gaps
-            seg_dis = gap_dis[keep]
-            seg_label = gap_label[keep]
-            breaks = np.unique(raw)
-
-            ci = np.searchsorted(self.xs, breaks)
-            is_constraint = np.zeros(len(breaks), dtype=bool)
-            if n > 0:
-                in_range = ci < n
-                is_constraint[in_range] = self.xs[ci[in_range]] == breaks[in_range]
-            pt_dis = np.zeros(len(breaks), dtype=bool)
-            pt_label = np.zeros(len(breaks), dtype=np.int8)
-            if n > 0:
-                pt_label[is_constraint] = self.ys[ci[is_constraint]]
-            # non-constraint breakpoints are only 0 and 1; they inherit the
-            # verdict of the gap they open/close
-            for b in np.nonzero(~is_constraint)[0]:
-                g = int(np.searchsorted(self.xs, breaks[b]))
-                pt_dis[b] = gap_dis[g]
-                pt_label[b] = gap_label[g]
-            self._partition = Partition(breaks, seg_dis, seg_label, pt_dis, pt_label)
+            # 0 and 1 are breakpoints with the verdict of the gap they
+            # bound, unless a constraint point sits on them
+            on = np.concatenate((keep[:1], np.ones(n, dtype=bool), keep[-1:]))
+            pt = np.concatenate((gap[:1], self.ys, gap[-1:]))[on]
+            seg = gap[keep]
+            self._partition = Partition(raw[on], seg == 0, seg, pt == 0, pt)
         return self._partition
 
     def dis_region(self) -> RegionOfDisagreement:
@@ -434,21 +414,12 @@ class IntervalVersionSpace:
         run, spanning exactly that run's constraint points."""
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space")
-        intervals: list[tuple[float, float]] = []
-        start = None
-        for x, y in zip(self.xs, self.ys):
-            if y == POS:
-                if start is None:
-                    start = float(x)
-                end = float(x)
-            elif start is not None:
-                intervals.append((start, end))
-                start = None
-        if start is not None:
-            intervals.append((start, end))
-        return IntervalUnion(tuple(intervals))
+        starts, ends = _run_bounds(self.ys)
+        return IntervalUnion(
+            tuple(zip(self.xs[starts].tolist(), self.xs[ends].tolist()))
+        )
 
-    def erm(self, sample: Iterable[tuple[float, int]]) -> IntervalUnion:
+    def erm(self, sample: Examples) -> IntervalUnion:
         """Exact backend supports only the consistent case (error 0)."""
         refined = self.with_examples(sample)
         if refined.is_empty():
@@ -459,13 +430,17 @@ class IntervalVersionSpace:
         return refined.canonical_member()
 
 
-def _count_runs(ys: np.ndarray) -> int:
+def _run_bounds(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the first and the last point of each maximal run of +1
+    labels."""
     pos = np.asarray(ys) == POS
-    if pos.size == 0:
-        return 0
-    starts = pos.copy()
-    starts[1:] &= ~pos[:-1]
-    return int(starts.sum())
+    starts = pos & ~np.concatenate(([False], pos[:-1]))
+    ends = pos & ~np.concatenate((pos[1:], [False]))
+    return starts, ends
+
+
+def _count_runs(ys: np.ndarray) -> int:
+    return int(np.count_nonzero(_run_bounds(ys)[0]))
 
 
 class ThresholdVersionSpace:
@@ -730,12 +705,10 @@ class EnumeratedClass:
             lo, hi = lo[indices], hi[indices]
         return int(y_pos.sum()) + (prefix[hi + 1] - prefix[lo]).sum(axis=1)
 
-    def consistent_mask(self, examples: Iterable[tuple[float, int]]) -> np.ndarray:
-        exs = list(examples)
-        if not exs:
+    def consistent_mask(self, examples: Examples) -> np.ndarray:
+        xs, ys = as_arrays(examples)
+        if not len(xs):
             return np.ones(len(self), dtype=bool)
-        xs = np.array([e[0] for e in exs])
-        ys = np.array([e[1] for e in exs])
         return self.err_counts(xs, ys) == 0
 
     def distances_from(self, h: Hypothesis) -> np.ndarray:
@@ -787,9 +760,7 @@ class MaskedVersionSpace:
         idx = self.cls.index_of(h)
         return idx is not None and bool(self.mask[idx])
 
-    def with_examples(
-        self, extra: Iterable[tuple[float, int]]
-    ) -> "MaskedVersionSpace":
+    def with_examples(self, extra: Examples) -> "MaskedVersionSpace":
         return self.replace_mask(self.mask & self.cls.consistent_mask(extra))
 
     def _breakpoints(self) -> np.ndarray:
@@ -852,20 +823,18 @@ class MaskedVersionSpace:
     def err_counts(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return self.cls.err_counts(xs, ys, self.survivor_indices())
 
-    def erm(self, sample: Iterable[tuple[float, int]]) -> Hypothesis:
+    def erm(self, sample: Examples) -> Hypothesis:
         """Empirical risk minimizer; ties go to the lowest canonical index."""
         idx, _ = self.erm_index(sample)
         return self.cls.hypothesis(idx)
 
-    def erm_index(self, sample: Iterable[tuple[float, int]]) -> tuple[int, int]:
+    def erm_index(self, sample: Examples) -> tuple[int, int]:
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space")
-        exs = list(sample)
+        xs, ys = as_arrays(sample)
         idx = self.survivor_indices()
-        if not exs:
+        if not len(xs):
             return int(idx[0]), 0
-        xs = np.array([e[0] for e in exs])
-        ys = np.array([e[1] for e in exs])
         counts = self.cls.err_counts(xs, ys, idx)
         best = int(np.argmin(counts))  # argmin keeps the lowest index on ties
         return int(idx[best]), int(counts[best])
@@ -943,9 +912,7 @@ class NestedClassSequence:
     def d(self, k: int) -> int:
         return self.class_dims[k]
 
-    def version_space(
-        self, k: int, examples: Iterable[tuple[float, int]] = ()
-    ) -> VersionSpace:
+    def version_space(self, k: int, examples: Examples = ()) -> VersionSpace:
         if k > self.K_max:
             raise ExhaustionError(f"class index {k} above K_max={self.K_max}")
         if self.backend == "exact-intervals":
@@ -954,16 +921,14 @@ class NestedClassSequence:
         cls_k = self.classes[k]
         return MaskedVersionSpace(cls_k, cls_k.consistent_mask(examples))
 
-    def is_realizable(self, k: int, examples: Iterable[tuple[float, int]]) -> bool:
+    def is_realizable(self, k: int, examples: Examples) -> bool:
         if self.backend == "exact-intervals":
             return is_realizable_by_k_intervals(examples, k)
         assert self.classes is not None
         return bool(self.classes[k].consistent_mask(examples).any())
 
-    def min_consistent_index(
-        self, examples: Iterable[tuple[float, int]], k_lo: int = 0
-    ) -> int:
-        exs = list(examples)
+    def min_consistent_index(self, examples: Examples, k_lo: int = 0) -> int:
+        exs = as_arrays(examples)
         if self.backend == "exact-intervals":
             runs = positive_run_count(exs)
             if runs is not None:
@@ -1018,12 +983,12 @@ def agreement_label(vs: VersionSpace, x: float) -> int:
     return vs.agreement_label(x)
 
 
-def erm(vs: VersionSpace, sample: Iterable[tuple[float, int]]) -> Hypothesis:
+def erm(vs: VersionSpace, sample: Examples) -> Hypothesis:
     return vs.erm(sample)
 
 
 def min_consistent_index(
-    seq: NestedClassSequence, examples: Iterable[tuple[float, int]], k_lo: int = 0
+    seq: NestedClassSequence, examples: Examples, k_lo: int = 0
 ) -> int:
     return seq.min_consistent_index(examples, k_lo)
 
@@ -1097,7 +1062,3 @@ def examples_to_json(examples: Iterable[tuple[float, int]]) -> list[dict]:
 
 def examples_from_json(items: Iterable[dict]) -> list[LabeledExample]:
     return [LabeledExample(float(o["x"]), int(o["y"])) for o in items]
-
-
-def dumps_hypothesis(h: Hypothesis) -> str:
-    return json.dumps(hypothesis_to_json(h), sort_keys=True)

@@ -33,9 +33,12 @@ from .hypotheses import (
     LabeledExample,
     VersionSpace,
     ball_radius_pair_distance,
+    intersect_segments,
     positive_segments,
     predict,
     predict_batch,
+    segments_mass,
+    symmetric_difference_segments,
 )
 
 SEARCH_POLICIES = ("sweep", "uniform-random-valid", "adversarial-boundary")
@@ -149,6 +152,20 @@ class DrawnExample(NamedTuple):
     shadow_y: int
 
 
+@dataclass(frozen=True, eq=False)
+class SalBatch:
+    """n selective-sampling records as columns, one entry per draw in
+    draw order; the fields mean what ``DrawnExample``'s do."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    queried: np.ndarray
+    shadow_ys: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+
 class OracleBundle:
     """Hidden target + noise + seeded streams + ledger, single-owner."""
 
@@ -223,17 +240,23 @@ class OracleBundle:
     # -- exact evaluation (simulation plumbing, not visible to algorithms) --
 
     def exact_error(self, h: Hypothesis) -> float:
-        """err(h) under the bundle's noise, by exact interval measure."""
+        """err(h) under the bundle's noise, by exact interval measure.
+
+        Under pointwise noise h errs with probability p off the region
+        where it differs from the target and 1 - p on it, so each table
+        piece adds p |piece minus diff| + (1 - p) |piece and diff|."""
+        if self.noise.kind == "pointwise":
+            diff = symmetric_difference_segments(h, self.target)
+            err = 0.0
+            for lo, hi, p in sorted(self.noise.table):
+                inside = segments_mass(intersect_segments([(lo, hi)], diff))
+                err += p * (hi - lo - inside) + (1.0 - p) * inside
+            return err
         delta_mass = ball_radius_pair_distance(h, self.target)
         if self.noise.kind == "realizable":
             return delta_mass
-        if self.noise.kind == "rcn":
-            eta = self.noise.eta
-            return eta + (1.0 - 2.0 * eta) * delta_mass
-        xs = np.linspace(0.0, 1.0, 20001)
-        p = self.noise.flip_probs(xs)
-        wrong = predict_batch(h, xs) != predict_batch(self.target, xs)
-        return float(np.mean(np.where(wrong, 1.0 - p, p)))
+        eta = self.noise.eta
+        return eta + (1.0 - 2.0 * eta) * delta_mass
 
     # -- SEARCH ----------------------------------------------------------------
 
@@ -410,21 +433,17 @@ def sal_step(
 
 def sal_batch(
     vs: VersionSpace, bundle: OracleBundle, n: int
-) -> tuple[list[DrawnExample], int]:
-    """n selective-sampling steps against a fixed version space."""
+) -> tuple[SalBatch, int]:
+    """n selective-sampling steps against a fixed version space. One draw
+    call, then LABEL on the DIS points, then shadow labels on the rest:
+    each random stream yields what n ``sal_step`` calls would get."""
     xs = bundle.draw(n)
-    in_dis, labels = vs.partition().classify(xs)
-    out: list[DrawnExample | None] = [None] * n
-    q_idx = np.nonzero(in_dis)[0]
-    if len(q_idx):
-        q_ys = bundle.label_query_batch(xs[q_idx])
-        for j, i in enumerate(q_idx):
-            out[i] = DrawnExample(float(xs[i]), int(q_ys[j]), True, int(q_ys[j]))
-    inf_idx = np.nonzero(~in_dis)[0]
-    if len(inf_idx):
-        shadows = bundle.shadow_labels(xs[inf_idx])
-        for j, i in enumerate(inf_idx):
-            out[i] = DrawnExample(
-                float(xs[i]), int(labels[i]), False, int(shadows[j])
-            )
-    return out, int(len(q_idx))  # type: ignore[return-value]
+    queried, ys = vs.partition().classify(xs)
+    n_queried = int(np.count_nonzero(queried))
+    if n_queried:
+        ys[queried] = bundle.label_query_batch(xs[queried])
+    shadow_ys = ys.copy()
+    if n_queried < n:
+        inferred = ~queried
+        shadow_ys[inferred] = bundle.shadow_labels(xs[inferred])
+    return SalBatch(xs, ys, queried, shadow_ys), n_queried

@@ -23,6 +23,7 @@ from .hypotheses import (
     Threshold,
     ThresholdVersionSpace,
     VersionSpace,
+    as_arrays,
     predict_batch,
 )
 from .oracles import OracleBundle, QueryLedger, sal_batch
@@ -258,31 +259,28 @@ def run_seabel(
     s_prev: list[LabeledExample] = []
     k_prev = 0
     first = bundle.draw(2)
-    t_cur = [
-        LabeledExample(float(x), int(y))
-        for x, y in zip(first, bundle.label_query_batch(first))
-    ]
+    t_cur = first, bundle.label_query_batch(first)
     trace: list[SeabelTraceRow] = []
     i = 0
     while True:
         i += 1
         s = list(s_prev)
-        k = seq.min_consistent_index(s + t_cur, k_lo=k_prev)
+        # constraints: the SEARCH counterexamples so far, then the last batch
+        k = seq.min_consistent_index(_joined(s, t_cur), k_lo=k_prev)
         calls = 0
         cexs = 0
         while True:
-            vs = seq.version_space(k, s + t_cur)
+            vs = seq.version_space(k, _joined(s, t_cur))
             e = bundle.search_query(vs, k=k)
             calls += 1
             if e is None:
                 break
             cexs += 1
             s.append(e)
-            k = seq.min_consistent_index(s + t_cur, k_lo=k + 1)
-        vs = seq.version_space(k, s + t_cur)
-        records, _ = sal_batch(vs, bundle, 2 ** (i + 1))
+            k = seq.min_consistent_index(_joined(s, t_cur), k_lo=k + 1)
+        batch, _ = sal_batch(vs, bundle, 2 ** (i + 1))
         if strict:
-            _assert_sampling_stage(vs, records, bundle)
+            _assert_sampling_stage(vs, batch, bundle)
         sigma_value = sigma(seq.d(k), 2**i, delta_schedule(delta, i, k))
         h = vs.canonical_member()
         trace.append(
@@ -300,15 +298,21 @@ def run_seabel(
         if sigma_value <= epsilon:
             return h, bundle.ledger, trace
         s_prev, k_prev = s, k
-        t_cur = [LabeledExample(r.x, r.y) for r in records]
+        t_cur = batch.xs, batch.ys
 
 
-def _assert_sampling_stage(vs, records, bundle) -> None:
-    xs = np.array([r.x for r in records])
-    ys = np.array([r.y for r in records])
-    want = predict_batch(bundle.target, xs)
-    if not np.array_equal(ys, want):
+def _joined(
+    s: list[LabeledExample], t: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counterexamples s followed by the columns t, as one column pair."""
+    sx, sy = as_arrays(s)
+    return np.concatenate((sx, t[0])), np.concatenate((sy, t[1]))
+
+
+def _assert_sampling_stage(vs, batch, bundle) -> None:
+    if not np.array_equal(batch.ys, predict_batch(bundle.target, batch.xs)):
         raise AssertionError("sampling-stage label disagrees with the target")
-    for r in records[:64]:  # pointwise recheck on a prefix keeps strict mode cheap
-        if r.queried != vs.dis_contains(r.x):
+    # pointwise recheck on a prefix keeps strict mode cheap
+    for x, queried in zip(batch.xs[:64].tolist(), batch.queried[:64].tolist()):
+        if queried != vs.dis_contains(x):
             raise AssertionError("query decision inconsistent with DIS")

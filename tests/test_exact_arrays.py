@@ -1,0 +1,313 @@
+"""Array kernels of the exact backend against the code they replaced.
+
+The references are copies of the dict-based constraint dedupe and of the
+classify / dis_region sweeps over every breakpoint (the unmerged
+partition), plus the pointwise definitions in ``gridref``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import gridref
+from oraclelab import hypotheses
+from oraclelab.hypotheses import (
+    IntervalVersionSpace,
+    MaskedVersionSpace,
+    NestedClassSequence,
+    Partition,
+    RegionOfDisagreement,
+    ThresholdVersionSpace,
+    _dedup_examples,
+    positive_run_count,
+    predict,
+    segments_mass,
+)
+
+
+def dict_dedup(examples):
+    """The dict loop the vectorized dedupe replaced."""
+    pts: dict[float, int] = {}
+    conflict = False
+    for x, y in examples:
+        y = int(y)
+        if y not in (1, -1):
+            raise ValueError(f"label must be +/-1, got {y}")
+        if x in pts and pts[x] != y:
+            conflict = True
+        pts[x] = pts.get(x, y)
+    xs = np.array(sorted(pts), dtype=np.float64)
+    ys = np.array([pts[x] for x in xs], dtype=np.int8)
+    return xs, ys, conflict
+
+
+def unmerged_classify(parts, xs):
+    """Classify against every breakpoint, as before cells were merged."""
+    breaks, seg_dis, seg_label, pt_dis, pt_label = parts
+    xs = np.asarray(xs, dtype=np.float64)
+    idx = np.searchsorted(breaks, xs, side="right") - 1
+    idx = np.clip(idx, 0, len(breaks) - 2)
+    in_dis = seg_dis[idx].copy()
+    labels = seg_label[idx].copy()
+    pt_idx = np.where(xs == breaks[-1], len(breaks) - 1, idx)
+    exact = xs == breaks[pt_idx]
+    where = np.nonzero(exact)[0]
+    in_dis[where] = pt_dis[pt_idx[where]]
+    labels[where] = pt_label[pt_idx[where]]
+    labels = np.where(in_dis, 0, labels)
+    return in_dis, labels.astype(np.int8)
+
+
+def unmerged_dis_region(parts):
+    breaks, seg_dis, _, pt_dis, _ = parts
+    segs = []
+    n_seg = len(seg_dis)
+    i = 0
+    while i < n_seg:
+        if not seg_dis[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n_seg and seg_dis[j + 1] and pt_dis[j + 1]:
+            j += 1
+        segs.append((float(breaks[i]), float(breaks[j + 1])))
+        i = j + 1
+    return RegionOfDisagreement(tuple(segs), segments_mass(segs))
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Records the unmerged arrays every version space hands to Partition."""
+    seen = []
+
+    class Recording(Partition):
+        def __init__(self, *parts):
+            seen.append(parts)
+            super().__init__(*parts)
+
+    monkeypatch.setattr(hypotheses, "Partition", Recording)
+    return seen
+
+
+def probes(breaks, rng, n_random=16):
+    """Every breakpoint, every midpoint between two, 0, 1 and a few draws."""
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    return np.concatenate([breaks, mids, [0.0, 1.0], rng.random(n_random)])
+
+
+def random_examples(rng, n, grid):
+    xs = rng.choice(grid, n)
+    ys = rng.choice(np.array([1, -1], dtype=np.int8), n)
+    return xs, ys
+
+
+# ---------------------------------------------------------------------------
+# constraint sets
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_dedupe_matches_dict_loop(trial):
+    rng = np.random.default_rng(trial)
+    grid = np.round(rng.random(int(rng.integers(1, 12))), 3)  # repeated xs
+    xs, ys = random_examples(rng, int(rng.integers(0, 30)), grid)
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    want = dict_dedup(pairs)
+    for given in (pairs, (xs, ys)):
+        got = _dedup_examples(given)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].dtype == np.int8 and got[1].tolist() == want[1].tolist()
+        assert got[2] == want[2]
+
+
+def test_first_label_seen_wins():
+    xs, ys, conflict = _dedup_examples([(0.5, 1), (0.2, -1), (0.5, -1)])
+    assert xs.tolist() == [0.2, 0.5] and ys.tolist() == [-1, 1] and conflict
+    xs, ys, conflict = _dedup_examples([(0.5, -1), (0.5, 1), (0.5, 1)])
+    assert ys.tolist() == [-1] and conflict
+    xs, ys, conflict = _dedup_examples([(0.5, 1), (0.5, 1)])
+    assert xs.tolist() == [0.5] and ys.tolist() == [1] and not conflict
+
+
+def test_tuple_of_two_pairs_is_read_as_pairs():
+    xs, ys, conflict = _dedup_examples(((0.5, -1), (0.3, 1)))
+    assert xs.tolist() == [0.3, 0.5] and ys.tolist() == [1, -1] and not conflict
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        [(0.3, 1), (0.4, 0)],
+        [(0.3, 2)],
+        (np.array([0.3, 0.4]), np.array([1, 0], dtype=np.int8)),
+        (np.array([0.3]), np.array([-2])),
+    ],
+)
+def test_labels_must_be_plus_minus_one(given):
+    with pytest.raises(ValueError, match="label must be"):
+        _dedup_examples(given)
+
+
+@pytest.mark.parametrize(
+    "given", [[], (), iter([]), (np.empty(0), np.empty(0, dtype=np.int8))]
+)
+def test_empty_constraint_set(given):
+    xs, ys, conflict = _dedup_examples(given)
+    assert xs.dtype == np.float64 and ys.dtype == np.int8
+    assert len(xs) == len(ys) == 0 and not conflict
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_pairs_and_arrays_build_the_same_space(trial):
+    rng = np.random.default_rng(100 + trial)
+    grid = np.linspace(0.0, 1.0, 11)
+    xs, ys = random_examples(rng, int(rng.integers(0, 12)), grid)
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    k = int(rng.integers(0, 4))
+    a, b = IntervalVersionSpace(k, pairs), IntervalVersionSpace(k, (xs, ys))
+    assert a.xs.tolist() == b.xs.tolist() and a.ys.tolist() == b.ys.tolist()
+    assert a._runs == b._runs == positive_run_count(pairs)
+    ex, ey = random_examples(rng, 5, grid)
+    a2 = a.with_examples(list(zip(ex.tolist(), ey.tolist())))
+    b2 = b.with_examples((ex, ey))
+    assert a2.xs.tolist() == b2.xs.tolist() and a2.ys.tolist() == b2.ys.tolist()
+    assert a2._runs == b2._runs
+    want = dict_dedup(pairs + list(zip(ex.tolist(), ey.tolist())))
+    assert a2.xs.tolist() == want[0].tolist() and a2.ys.tolist() == want[1].tolist()
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_enumerated_paths_take_arrays(trial):
+    rng = np.random.default_rng(200 + trial)
+    seq = NestedClassSequence.enumerated_intervals(2, resolution=7)
+    xs, ys = random_examples(rng, int(rng.integers(0, 6)), seq.grid)
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    cls = seq.classes[2]
+    assert np.array_equal(cls.consistent_mask(pairs), cls.consistent_mask((xs, ys)))
+    vs = MaskedVersionSpace(cls)
+    assert vs.erm_index(pairs) == vs.erm_index((xs, ys))
+    exact = NestedClassSequence.exact_intervals(3)
+    for s in (seq, exact):
+        try:
+            want = s.min_consistent_index(pairs)
+        except hypotheses.ExhaustionError:
+            with pytest.raises(hypotheses.ExhaustionError):
+                s.min_consistent_index((xs, ys))
+        else:
+            assert s.min_consistent_index((xs, ys)) == want
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_canonical_member_spans_each_positive_run(trial):
+    rng = np.random.default_rng(300 + trial)
+    xs, ys = random_examples(rng, int(rng.integers(0, 15)), np.linspace(0, 1, 31))
+    vs = IntervalVersionSpace(8, (xs, ys))
+    if vs.is_empty():
+        return
+    runs, start = [], None
+    for x, y in zip(vs.xs.tolist(), vs.ys.tolist()):  # the old loop
+        if y == 1:
+            start = x if start is None else start
+            end = x
+        elif start is not None:
+            runs.append((start, end))
+            start = None
+    if start is not None:
+        runs.append((start, end))
+    assert vs.canonical_member().intervals == tuple(runs)
+
+
+# ---------------------------------------------------------------------------
+# merged partitions
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("trial", range(60))
+def test_merged_classify_matches_unmerged_on_random_verdicts(trial):
+    """Runs of equal verdicts make most breakpoints mergeable."""
+    rng = np.random.default_rng(400 + trial)
+    inner = np.unique(rng.random(int(rng.integers(0, 12))))
+    breaks = np.concatenate(([0.0], inner, [1.0]))
+    n = len(breaks)
+    run_labels = rng.choice([-1, 0, 1], 4)
+    seg = run_labels[np.sort(rng.integers(0, 4, n - 1))]
+    pt = np.where(rng.random(n) < 0.7, np.append(seg, seg[-1]), rng.choice([-1, 0, 1], n))
+    parts = (breaks, seg == 0, seg.astype(np.int8), pt == 0, pt.astype(np.int8))
+    xs = np.concatenate([probes(breaks, rng), [-0.5, 1.5]])
+    got = Partition(*parts).classify(xs)
+    want = unmerged_classify(parts, xs)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[1].dtype == np.int8
+    assert Partition(*parts).dis_region() == unmerged_dis_region(parts)
+
+
+def check_against_unmerged(vs, parts, rng):
+    xs = probes(parts[0], rng)
+    got = vs.partition().classify(xs)
+    want = unmerged_classify(parts, xs)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert vs.partition().breaks is parts[0]  # SEARCH's candidates read these
+    assert vs.dis_region() == unmerged_dis_region(parts)
+
+
+def check_against_grid(vs, pool, points):
+    in_dis, labels = vs.partition().classify(points)
+    for x, d, lab in zip(points.tolist(), in_dis.tolist(), labels.tolist()):
+        assert d == gridref.ref_dis_contains(pool, x), x
+        if not d:
+            assert lab == gridref.ref_agreement_label(pool, x), x
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("trial", range(6))
+def test_interval_space_classify(captured, k, trial):
+    rng = np.random.default_rng(500 + 10 * k + trial)
+    r = 7 if k == 3 else 9
+    grid = np.linspace(0.0, 1.0, r)
+    hyps = gridref.grid_interval_hypotheses(k, r)
+    target = hyps[int(rng.integers(0, len(hyps)))]
+    xs = rng.choice(grid, int(rng.integers(0, 6)))
+    s = [(x, predict(target, x)) for x in xs.tolist()]
+    vs = IntervalVersionSpace(k, s)
+    vs.partition()
+    check_against_unmerged(vs, captured[-1], rng)
+    if vs._runs == k:  # every gap away from a run's ends is decided
+        assert len(vs.partition()._edges) <= 4 * k + 2
+    # with constraints on the grid, the continuum space and the grid class
+    # agree at grid points (not between them)
+    check_against_grid(vs, gridref.survivors(hyps, s), grid)
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_threshold_space_classify(captured, trial):
+    rng = np.random.default_rng(600 + trial)
+    r = 11
+    grid = np.linspace(0.0, 1.0, r)
+    target = gridref.grid_threshold_hypotheses(r)[int(rng.integers(0, r))]
+    xs = rng.choice(grid, int(rng.integers(0, 4)))
+    s = [(x, predict(target, x)) for x in xs.tolist()]
+    vs = ThresholdVersionSpace.from_examples(s)
+    vs.partition()
+    check_against_unmerged(vs, captured[-1], rng)
+    # with constraints on the grid, the continuum space and the grid class
+    # agree at grid points (not between them)
+    pool = gridref.survivors(gridref.grid_threshold_hypotheses(r), s)
+    check_against_grid(vs, pool, grid)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("trial", range(5))
+def test_masked_space_classify(captured, k, trial):
+    rng = np.random.default_rng(700 + 10 * k + trial)
+    r = 6 if k == 3 else 8
+    seq = NestedClassSequence.enumerated_intervals(k, resolution=r)
+    cls = seq.classes[k]
+    target = cls.hypothesis(int(rng.integers(0, len(cls))))
+    xs = rng.choice(np.linspace(0.0, 1.0, 2 * r - 1), int(rng.integers(0, 5)))
+    s = [(x, predict(target, x)) for x in xs.tolist()]
+    vs = MaskedVersionSpace(cls, cls.consistent_mask(s))
+    vs.partition()
+    check_against_unmerged(vs, captured[-1], rng)
+    pool = gridref.survivors(gridref.grid_interval_hypotheses(k, r), s)
+    check_against_grid(vs, pool, probes(vs.partition().breaks, rng))

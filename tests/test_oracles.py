@@ -67,6 +67,20 @@ class TestNoiseModel:
         pw = NoiseModel("pointwise", table=((0.5, 1.0, 0.0), (0.0, 0.5, 0.2)))
         assert pw.nu == pytest.approx(0.1)
 
+    def test_pointwise_exact_error_is_exact(self):
+        # h = [0.4, 0.8] differs from the target [0.3, 0.6] on [0.3, 0.4]
+        # and [0.6, 0.8]. Piece [0, 0.5] (p = 0.1) holds 0.1 of that and
+        # 0.4 of agreement, piece [0.5, 1] (p = 0.2) holds 0.2 and 0.3:
+        # 0.1 * 0.4 + 0.9 * 0.1 + 0.2 * 0.3 + 0.8 * 0.2 = 0.35
+        table = ((0.0, 0.5, 0.1), (0.5, 1.0, 0.2))
+        b = make_bundle(
+            IntervalUnion(((0.3, 0.6),)), NoiseModel("pointwise", table=table)
+        )
+        assert b.exact_error(IntervalUnion(((0.4, 0.8),))) == pytest.approx(
+            0.35, abs=1e-12
+        )
+        assert b.exact_error(b.target) == pytest.approx(b.noise.nu, abs=1e-12)
+
 
 class TestLabelOracle:
     def test_realizable_returns_target_label(self):
@@ -242,15 +256,20 @@ class TestSal:
         c1 = 0
         for _ in range(200):
             L1, c1 = sal_step(vs, b1, L1, c1)
-        L2, c2 = sal_batch(vs, b2, 200)
-        assert c1 == c2 and L1 == L2
+        batch, c2 = sal_batch(vs, b2, 200)
+        assert c1 == c2 and len(L1) == len(batch) == 200
+        assert [r.x for r in L1] == batch.xs.tolist()
+        assert [r.y for r in L1] == batch.ys.tolist()
+        assert [r.queried for r in L1] == batch.queried.tolist()
+        assert [r.shadow_y for r in L1] == batch.shadow_ys.tolist()
 
     def test_shadow_equals_label_when_queried(self):
         vs = IntervalVersionSpace(1, [(0.5, 1)])
         b = make_bundle(IntervalUnion(((0.4, 0.6),)), NoiseModel("rcn", eta=0.3),
                         seed=7)
-        L, _ = sal_batch(vs, b, 100)
-        assert all(r.shadow_y == r.y for r in L if r.queried)
+        batch, _ = sal_batch(vs, b, 100)
+        q = batch.queried
+        assert np.array_equal(batch.shadow_ys[q], batch.ys[q])
 
 
 class TestDeterminism:
@@ -264,8 +283,12 @@ class TestDeterminism:
                 transcript=t,
             )
             vs = IntervalVersionSpace(1, [(0.4, 1)])
-            recs, _ = sal_batch(vs, b, 100)
+            batch, _ = sal_batch(vs, b, 100)
             b.search_query(vs, k=1)
+            recs = [
+                col.tolist()
+                for col in (batch.xs, batch.ys, batch.queried, batch.shadow_ys)
+            ]
             return transcript_to_jsonl(t), b.ledger.snapshot(), recs
 
         assert run(123) == run(123)
