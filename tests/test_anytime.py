@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,20 +272,50 @@ class TestRunAalarch:
         assert ec == error_check(vs, labeled, 0.01, self.seq)
 
 
+EC_UPGRADE_PIN = Path(__file__).resolve().parent / "golden" / "ec_upgrade_run.json"
+
+
+def ec_upgrade_run():
+    # with SEARCH priced high, blocks run long and the structural error
+    # check upgrades the class from data alone before the next probe
+    seq = NestedClassSequence.enumerated_intervals(2, resolution=13)
+    g = seq.grid
+    target = IntervalUnion(((g[2], g[4]), (g[7], g[10])))
+    b = rcn_bundle(target, 0)
+    diag = AalarchDiagnostics.for_run(seq, b)
+    res = run_aalarch(
+        seq, b, 0.1, tau=4096.0, n_cap=30000, cost_cap=22000.0,
+        diagnostics=diag,
+    )
+    return seq, target, diag, res
+
+
+def run_record(res) -> dict:
+    """Everything a run reports, as JSON-ready values; the working set
+    enters as its length and a digest of its records."""
+    working = "\n".join(
+        f"{r.x!r},{r.y},{int(r.queried)},{r.shadow_y}" for r in res.working
+    )
+    return {
+        "timeline": timeline_to_csv(res.timeline),
+        "trace": [r.to_json() for r in res.trace],
+        "working_size": len(res.working),
+        "working_sha256": hashlib.sha256(working.encode()).hexdigest(),
+        "final_k": res.final_k,
+        "verified_size": res.verified_size,
+        "unverified_iterations": res.unverified_iterations,
+        "discarded_examples": res.discarded_examples,
+    }
+
+
 class TestErrorCheckUpgradePath:
+    @classmethod
+    def setup_class(cls):
+        cls.seq, cls.target, cls.diag, cls.res = ec_upgrade_run()
+
     def test_ec_upgrade_fires_when_search_is_expensive(self):
-        # with SEARCH priced high, blocks run long and the structural
-        # error check upgrades the class from data alone before the next
-        # probe; invariants must survive the snapshot rollback it causes
-        seq = NestedClassSequence.enumerated_intervals(2, resolution=13)
-        g = seq.grid
-        target = IntervalUnion(((g[2], g[4]), (g[7], g[10])))
-        b = rcn_bundle(target, 0)
-        diag = AalarchDiagnostics.for_run(seq, b)
-        res = run_aalarch(
-            seq, b, 0.1, tau=4096.0, n_cap=30000, cost_cap=22000.0,
-            diagnostics=diag,
-        )
+        # invariants must survive the snapshot rollback the upgrade causes
+        res, diag = self.res, self.diag
         events = [r.event for r in res.trace]
         assert "ec-upgrade" in events
         assert res.final_k == diag.kstar == 2
@@ -290,5 +323,11 @@ class TestErrorCheckUpgradePath:
         assert all(r.k <= diag.kstar for r in res.trace)
         # the rollback restored a committed prefix: favorable bias intact
         assert not favorable_bias_violations(
-            res.working, seq.classes[2], target, res.verified_size
+            res.working, self.seq.classes[2], self.target, res.verified_size
         )
+
+    def test_run_matches_pinned_record(self):
+        # the rollback path is reached by no golden row; this pins the
+        # whole run (timeline, trace, working set) byte for byte
+        want = json.loads(EC_UPGRADE_PIN.read_text())
+        assert run_record(self.res) == want
