@@ -23,14 +23,13 @@ from .hypotheses import (
     disagreement_coefficient_estimate,
     predict,
 )
-from .oracles import NoiseModel, OracleBundle, gamma_constant, gamma_rcn
+from .oracles import ConstantGamma, NoiseModel, OracleBundle, RcnGamma
 from .realizable import run_binary_search_demo, run_cal, run_larch, run_seabel
 from .agnostic import run_al, run_alarch
 from .anytime import (
     error_check,
     prune_version_space,
     run_aalarch,
-    true_error,
     upgrade_version_space,
 )
 from .harness import (

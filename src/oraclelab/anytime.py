@@ -28,14 +28,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bounds import sigma
+from .bounds import delta_schedule, sigma
 from .hypotheses import (
     POS,
     Hypothesis,
     LabeledExample,
     MaskedVersionSpace,
     NestedClassSequence,
-    as_arrays,
 )
 from .oracles import DrawnExample, OracleBundle, QueryLedger, sal_step
 
@@ -49,28 +48,17 @@ __all__ = [
     "prune_version_space",
     "run_aalarch",
     "timeline_to_csv",
-    "true_error",
     "upgrade_version_space",
 ]
 
 
-def true_error(h: Hypothesis, bundle: OracleBundle) -> float:
-    """Exact err(h) under the bundle's noise model: eta + (1-2 eta) times
-    the symmetric-difference mass under rcn, the mass alone when
-    realizable, pool averaging for pointwise tables."""
-    return bundle.exact_error(h)
-
-
-def _delta_of_class(delta: float, k: int) -> float:
-    return delta / ((k + 1) * (k + 2))
-
-
 def error_check(
+    counts: np.ndarray,
     vs: MaskedVersionSpace,
-    labeled: Sequence,
+    l: int,
     delta: float,
+    i: int,
     seq: NestedClassSequence,
-    k: int | None = None,
 ) -> bool:
     """True iff the version space's best empirical error is implausibly
     high against the structural bound
@@ -79,50 +67,47 @@ def error_check(
                 err(h,L) + 2 sqrt(err(h,L) s_k') + 3 s_k',
 
     i.e. min over V of err(h,L) > gamma + 2 sqrt(gamma s_k) + 3 s_k,
-    with s_j = sigma(d_j, |L|, delta/((j+1)(j+2))). The structural min is
-    truncated at the sequence's K_max. Empty datasets never trip it."""
-    if k is None:
-        k = vs.k
-    l = len(labeled)
+    with s_j = sigma(d_j, l, delta_schedule(delta, i, j)).
+
+    ``counts`` holds the per-hypothesis error counts of the l-point
+    dataset L over a class that has V's class and every H_k' as a prefix.
+    The structural min is truncated at the sequence's K_max. Empty
+    datasets never trip it."""
     if l == 0 or vs.is_empty():
         return False
-    xs, ys = as_arrays(labeled)
     assert seq.classes is not None
     gamma = math.inf
-    for kp in range(k, seq.K_max + 1):
-        counts = seq.classes[kp].err_counts(xs, ys)
-        b = counts.min() / l
-        s = sigma(seq.d(kp), l, _delta_of_class(delta, kp))
+    for kp in range(vs.k, seq.K_max + 1):
+        b = counts[: len(seq.classes[kp])].min() / l
+        s = sigma(seq.d(kp), l, delta_schedule(delta, i, kp))
         gamma = min(gamma, b + 2.0 * math.sqrt(b * s) + 3.0 * s)
-    b_vs = vs.err_counts(xs, ys).min() / l
-    s_k = sigma(seq.d(k), l, _delta_of_class(delta, k))
+    b_vs = counts[vs.survivor_indices()].min() / l
+    s_k = sigma(seq.d(vs.k), l, delta_schedule(delta, i, vs.k))
     return b_vs > gamma + 2.0 * math.sqrt(gamma * s_k) + 3.0 * s_k
 
 
 def prune_version_space(
+    counts: np.ndarray,
     vs: MaskedVersionSpace,
-    labeled: Sequence,
+    l: int,
     delta: float,
-    k: int | None = None,
+    i: int,
 ) -> MaskedVersionSpace:
     """Keep the hypotheses whose empirical error is within the Bernstein
     ball of the version space's own minimizer:
 
-        err(h,L) <= b + 2 sqrt(b s) + 3 s,  b = min over V of err(h,L).
+        err(h,L) <= b + 2 sqrt(b s) + 3 s,  b = min over V of err(h,L),
 
-    Never empties (the minimizer always survives); an empty dataset prunes
-    nothing."""
-    if k is None:
-        k = vs.k
-    l = len(labeled)
+    with s = sigma(d_k, l, delta_schedule(delta, i, k)). ``counts`` is as
+    in ``error_check``. Never empties (the minimizer always survives); an
+    empty dataset prunes nothing."""
     if l == 0 or vs.is_empty():
         return vs
-    xs, ys = as_arrays(labeled)
     idx = vs.survivor_indices()
-    counts = vs.cls.err_counts(xs, ys, idx)
-    b = counts.min() / l
-    s = sigma(vs.vc_dim, l, _delta_of_class(delta, k))
-    keep = counts / l <= b + 2.0 * math.sqrt(b * s) + 3.0 * s
+    errs = counts[idx]
+    b = errs.min() / l
+    s = sigma(vs.vc_dim, l, delta_schedule(delta, i, vs.k))
+    keep = errs / l <= b + 2.0 * math.sqrt(b * s) + 3.0 * s
     mask = np.zeros(len(vs.cls), dtype=bool)
     mask[idx[keep]] = True
     return vs.replace_mask(mask)
@@ -156,7 +141,6 @@ class _CountTracker:
 
     def __init__(self, seq: NestedClassSequence):
         assert seq.classes is not None
-        self.seq = seq
         self.top = seq.classes[seq.K_max]
         self.counts = np.zeros(len(self.top), dtype=np.int64)
         self.committed = self.counts.copy()
@@ -169,55 +153,6 @@ class _CountTracker:
 
     def rollback(self) -> None:
         self.counts = self.committed.copy()
-
-    def class_min(self, k: int, committed: bool = False) -> int:
-        src = self.committed if committed else self.counts
-        return int(src[: len(self.seq.classes[k])].min())
-
-    def survivor_counts(
-        self, vs: MaskedVersionSpace, committed: bool = False
-    ) -> np.ndarray:
-        src = self.committed if committed else self.counts
-        return src[vs.survivor_indices()]
-
-
-def _ec_fast(
-    tracker: _CountTracker,
-    vs: MaskedVersionSpace,
-    l: int,
-    delta: float,
-    seq: NestedClassSequence,
-) -> bool:
-    if l == 0 or vs.is_empty():
-        return False
-    gamma = math.inf
-    for kp in range(vs.k, seq.K_max + 1):
-        b = tracker.class_min(kp) / l
-        s = sigma(seq.d(kp), l, _delta_of_class(delta, kp))
-        gamma = min(gamma, b + 2.0 * math.sqrt(b * s) + 3.0 * s)
-    b_vs = tracker.survivor_counts(vs).min() / l
-    s_k = sigma(seq.d(vs.k), l, _delta_of_class(delta, vs.k))
-    return b_vs > gamma + 2.0 * math.sqrt(gamma * s_k) + 3.0 * s_k
-
-
-def _pvs_fast(
-    tracker: _CountTracker,
-    vs: MaskedVersionSpace,
-    l: int,
-    delta: float,
-    seq: NestedClassSequence,
-    committed: bool = False,
-) -> MaskedVersionSpace:
-    if l == 0 or vs.is_empty():
-        return vs
-    idx = vs.survivor_indices()
-    counts = tracker.survivor_counts(vs, committed=committed)
-    b = counts.min() / l
-    s = sigma(seq.d(vs.k), l, _delta_of_class(delta, vs.k))
-    keep = counts / l <= b + 2.0 * math.sqrt(b * s) + 3.0 * s
-    mask = np.zeros(len(vs.cls), dtype=bool)
-    mask[idx[keep]] = True
-    return vs.replace_mask(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +338,13 @@ def run_aalarch(
         c = 0
         upgraded = False
         while True:  # sampling block; exits on label budget, size, or upgrade
-            delta_i = delta / (max(i, 1) * (max(i, 1) + 1))
-            if _ec_fast(tracker, vs, len(working), delta_i, seq):
+            if error_check(
+                tracker.counts, vs, len(working), delta, max(i, 1), seq
+            ):
                 k, s, vs = upgrade_version_space(k, s, None, seq)
-                vs = _pvs_fast(tracker, vs, tilde_len, delta_i, seq,
-                               committed=True)
+                vs = prune_version_space(
+                    tracker.committed, vs, tilde_len, delta, max(i, 1)
+                )
                 discarded += len(working) - tilde_len
                 working = working[:tilde_len]
                 tracker.rollback()
@@ -426,8 +363,7 @@ def run_aalarch(
             working, c = sal_step(vs, bundle, working, c)
             rec = working[-1]
             tracker.append(rec.x, rec.y)
-            delta_i = delta / (i * (i + 1))
-            vs = _pvs_fast(tracker, vs, len(working), delta_i, seq)
+            vs = prune_version_space(tracker.counts, vs, len(working), delta, i)
             if c >= tau or len(working) >= n_cap:
                 break
         if upgraded:
@@ -435,10 +371,11 @@ def run_aalarch(
         if bundle.ledger.cost >= cost_cap:
             break
         e = bundle.search_query(vs, k=k)
-        delta_i = delta / (max(i, 1) * (max(i, 1) + 1))
         if e is not None:
             k, s, vs = upgrade_version_space(k, s, e, seq)
-            vs = _pvs_fast(tracker, vs, tilde_len, delta_i, seq, committed=True)
+            vs = prune_version_space(
+                tracker.committed, vs, tilde_len, delta, max(i, 1)
+            )
             discarded += len(working) - tilde_len
             working = working[:tilde_len]
             tracker.rollback()
@@ -454,7 +391,7 @@ def run_aalarch(
             tilde_len = len(working)
             tracker.commit()
             surv = vs.survivor_indices()
-            counts = tracker.survivor_counts(vs, committed=True)
+            counts = tracker.committed[surv]
             best = int(surv[int(np.argmin(counts))]) if len(surv) else None
             if best is not None:
                 solution = vs.cls.hypothesis(best)
@@ -493,8 +430,7 @@ def _errh_bound(
 ) -> float:
     """nu + 8 sqrt(nu s) + 35 s at the top-relevant class scale, the error
     envelope every survivor of a verified step must satisfy."""
-    delta_ik = delta / (i * (i + 1)) / ((kstar + 1) * (kstar + 2))
-    s = sigma(seq.d(kstar), l, delta_ik)
+    s = sigma(seq.d(kstar), l, delta_schedule(delta, i, kstar))
     return nu + 8.0 * math.sqrt(nu * s) + 35.0 * s
 
 

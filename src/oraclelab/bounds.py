@@ -12,11 +12,8 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
-    "BoundParams",
-    "DeltaSchedule",
     "phi",
     "sigma",
     "sigma_k",
@@ -25,30 +22,6 @@ __all__ = [
     "freedman_count_bound",
     "delta_schedule",
 ]
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Parameter bundle for the deviation-bound evaluators.
-
-    d: VC dimension (>= 0), m: sample size (>= 1),
-    delta: failure probability in (0,1), epsilon: target accuracy in (0,1).
-    """
-
-    d: int
-    m: int
-    delta: float
-    epsilon: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.d < 0:
-            raise ValueError(f"VC dimension must be >= 0, got {self.d}")
-        if self.m < 1:
-            raise ValueError(f"sample size must be >= 1, got {self.m}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
 
 
 def phi(d: int, m: int, delta: float) -> float:
@@ -137,25 +110,3 @@ def delta_schedule(delta: float, i: int, k: int | None = None) -> float:
     if k < 0:
         raise ValueError(f"class index must be >= 0, got {k}")
     return d_i / ((k + 1) * (k + 2))
-
-
-@dataclass
-class DeltaSchedule:
-    """Materialized view of the confidence-splitting schedules.
-
-    ``per_iteration[i]`` is delta_i and ``per_iteration_class[(i,k)]`` is
-    delta_{i,k}; both computed lazily up to whatever horizon was asked for.
-    """
-
-    delta: float
-    per_iteration: dict[int, float] = field(default_factory=dict)
-    per_iteration_class: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def at(self, i: int, k: int | None = None) -> float:
-        if k is None:
-            if i not in self.per_iteration:
-                self.per_iteration[i] = delta_schedule(self.delta, i)
-            return self.per_iteration[i]
-        if (i, k) not in self.per_iteration_class:
-            self.per_iteration_class[(i, k)] = delta_schedule(self.delta, i, k)
-        return self.per_iteration_class[(i, k)]

@@ -33,7 +33,7 @@ from .hypotheses import (
     hypothesis_to_json,
     predict,
 )
-from .oracles import NoiseModel, OracleBundle, gamma_constant, gamma_rcn
+from .oracles import ConstantGamma, NoiseModel, OracleBundle, RcnGamma
 from .realizable import run_binary_search_demo, run_cal, run_larch, run_seabel
 
 ALGORITHMS = (
@@ -270,12 +270,12 @@ def build_sequence(config: ExperimentConfig) -> NestedClassSequence:
 
 def build_gamma(config: ExperimentConfig, noise: NoiseModel):
     if config.gamma == "zero":
-        return gamma_constant(0.0)
+        return ConstantGamma(0.0)
     if config.gamma == "constant-nu":
-        return gamma_constant(noise.nu)
+        return ConstantGamma(noise.nu)
     if noise.kind != "rcn":
         raise ConfigError("gamma 'rcn-exact' needs rcn noise")
-    return gamma_rcn(noise.eta)
+    return RcnGamma(noise.eta)
 
 
 def make_bundle(config: ExperimentConfig, target, seed: int) -> OracleBundle:
@@ -633,10 +633,11 @@ def validate_against_bruteforce(
 
         # pruning against its definition, counts re-derived independently
         delta = 0.1
-        pruned = prune_version_space(vs, sample, delta)
+        pruned = prune_version_space(cls.err_counts(sx, sy), vs, m, delta, 1)
         counts = (pred_all(sx)[surv] != (sy[None, :] == 1)).sum(axis=1)
         b = counts.min() / m
-        sg = _sigma(cls.vc_dim, m, delta / ((cls.k + 1) * (cls.k + 2)))
+        # one iteration (i = 1) and class k: delta / (1*2) / ((k+1)(k+2))
+        sg = _sigma(cls.vc_dim, m, delta / 2 / ((cls.k + 1) * (cls.k + 2)))
         want_mask = np.zeros(len(cls), dtype=bool)
         want_mask[surv] = counts / m <= b + 2.0 * math.sqrt(b * sg) + 3.0 * sg
         checks += 1

@@ -277,14 +277,20 @@ def as_arrays(examples: Examples) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1])
 
 
-def _dedup_examples(examples: Examples) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Sorted distinct constraint points, the first label seen at each x
-    winning. Returns (xs, ys, conflict): conflict is True when some x
-    also carries the other label."""
+def _labeled_arrays(examples: Examples) -> tuple[np.ndarray, np.ndarray]:
+    """``as_arrays``, rejecting any label other than +/-1."""
     xs, ys = as_arrays(examples)
     bad = (ys != POS) & (ys != NEG)
     if bad.any():
         raise ValueError(f"label must be +/-1, got {ys[bad][0]}")
+    return xs, ys
+
+
+def _dedup_examples(examples: Examples) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Sorted distinct constraint points, the first label seen at each x
+    winning. Returns (xs, ys, conflict): conflict is True when some x
+    also carries the other label."""
+    xs, ys = _labeled_arrays(examples)
     order = np.argsort(xs, kind="stable")  # equal xs keep their input order
     xs, ys = xs[order], ys[order]
     first = np.ones(len(xs), dtype=bool)
@@ -330,10 +336,13 @@ class IntervalVersionSpace:
 
     def with_examples(self, extra: Examples) -> "IntervalVersionSpace":
         """The constraints so far plus ``extra``; on a repeated x the
-        older label wins."""
+        older label wins. A space emptied by a conflict stays empty."""
         xs, ys = as_arrays(extra)
         merged = np.concatenate((self.xs, xs)), np.concatenate((self.ys, ys))
-        return IntervalVersionSpace(self.k, merged)
+        vs = IntervalVersionSpace(self.k, merged)
+        if self._runs is None:
+            vs._runs = None
+        return vs
 
     # Feasibility deltas for inserting a forced label into a gap: a new
     # positive between two negatives opens a run (+1); a new negative
@@ -460,21 +469,8 @@ class ThresholdVersionSpace:
     vc_dim = 1
 
     @classmethod
-    def from_examples(
-        cls, examples: Iterable[tuple[float, int]] = ()
-    ) -> "ThresholdVersionSpace":
-        lo, lo_closed = 0.0, True
-        hi, hi_closed = 1.0, True
-        for x, y in examples:
-            if y == POS:
-                if x < hi:
-                    hi, hi_closed = float(x), True
-            elif y == NEG:
-                if x > lo or (x == lo and lo_closed):
-                    lo, lo_closed = float(x), False
-            else:
-                raise ValueError(f"label must be +/-1, got {y}")
-        return cls(lo, hi, lo_closed, hi_closed)
+    def from_examples(cls, examples: Examples = ()) -> "ThresholdVersionSpace":
+        return cls(0.0, 1.0, True, True).with_examples(examples)
 
     def is_empty(self) -> bool:
         if self.lo > self.hi:
@@ -483,17 +479,16 @@ class ThresholdVersionSpace:
             return not (self.lo_closed and self.hi_closed)
         return False
 
-    def with_examples(
-        self, extra: Iterable[tuple[float, int]]
-    ) -> "ThresholdVersionSpace":
+    def with_examples(self, extra: Examples) -> "ThresholdVersionSpace":
+        """Narrow the range to w > every negative x and w <= every
+        positive x."""
+        xs, ys = _labeled_arrays(extra)
         lo, lo_closed, hi, hi_closed = self.lo, self.lo_closed, self.hi, self.hi_closed
-        for x, y in extra:
-            if y == POS:
-                if x < hi:
-                    hi, hi_closed = float(x), True
-            else:
-                if x > lo or (x == lo and lo_closed):
-                    lo, lo_closed = float(x), False
+        pos, neg = xs[ys == POS], xs[ys == NEG]
+        if len(pos) and pos.min() < hi:
+            hi, hi_closed = float(pos.min()), True
+        if len(neg) and (neg.max() > lo or (neg.max() == lo and lo_closed)):
+            lo, lo_closed = float(neg.max()), False
         return ThresholdVersionSpace(lo, hi, lo_closed, hi_closed)
 
     def contains(self, h: Hypothesis) -> bool:
@@ -545,7 +540,7 @@ class ThresholdVersionSpace:
         # minimal positive set: the largest surviving threshold
         return Threshold(self.hi if self.hi_closed else np.nextafter(self.hi, 0.0))
 
-    def erm(self, sample: Iterable[tuple[float, int]]) -> Threshold:
+    def erm(self, sample: Examples) -> Threshold:
         refined = self.with_examples(sample)
         if refined.is_empty():
             raise EmptyVersionSpaceError("no consistent threshold for the sample")
@@ -820,9 +815,6 @@ class MaskedVersionSpace:
             raise EmptyVersionSpaceError("empty version space")
         return self.cls.hypothesis(int(self.survivor_indices()[0]))
 
-    def err_counts(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return self.cls.err_counts(xs, ys, self.survivor_indices())
-
     def erm(self, sample: Examples) -> Hypothesis:
         """Empirical risk minimizer; ties go to the lowest canonical index."""
         idx, _ = self.erm_index(sample)
@@ -964,33 +956,6 @@ def _exact_k_interval_rows(grid: np.ndarray, k: int, slots: int) -> np.ndarray:
     out = np.full((n, slots, 2), _EMPTY_SLOT)
     out[:, :k] = grid[ends].reshape(n, k, 2)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Spec-facing functional wrappers
-# ---------------------------------------------------------------------------
-
-
-def dis_contains(vs: VersionSpace, x: float) -> bool:
-    return vs.dis_contains(x)
-
-
-def dis_region(vs: VersionSpace) -> RegionOfDisagreement:
-    return vs.dis_region()
-
-
-def agreement_label(vs: VersionSpace, x: float) -> int:
-    return vs.agreement_label(x)
-
-
-def erm(vs: VersionSpace, sample: Examples) -> Hypothesis:
-    return vs.erm(sample)
-
-
-def min_consistent_index(
-    seq: NestedClassSequence, examples: Examples, k_lo: int = 0
-) -> int:
-    return seq.min_consistent_index(examples, k_lo)
 
 
 def disagreement_coefficient_estimate(

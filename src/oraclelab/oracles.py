@@ -395,14 +395,6 @@ class RcnGamma:
         return self.eta_bar * vs.dis_region().mass
 
 
-def gamma_constant(nu: float) -> ConstantGamma:
-    return ConstantGamma(nu)
-
-
-def gamma_rcn(eta_bar: float) -> RcnGamma:
-    return RcnGamma(eta_bar)
-
-
 GammaOracle = Callable[[VersionSpace], float]
 
 
@@ -418,7 +410,8 @@ def sal_step(
     counter: int,
 ) -> tuple[list[DrawnExample], int]:
     """Draw one x; query LABEL inside DIS(V), infer the agreement label
-    outside. Returns the extended dataset and the updated query counter."""
+    outside. Appends the record to ``labeled`` in place and returns that
+    same list with the updated query counter."""
     x = float(bundle.draw(1)[0])
     if vs.dis_contains(x):
         y = bundle.label_query(x)
@@ -428,7 +421,8 @@ def sal_step(
         y = vs.agreement_label(x)
         shadow = int(bundle.shadow_labels(np.array([x]))[0])
         rec = DrawnExample(x, int(y), False, shadow)
-    return labeled + [rec], counter
+    labeled.append(rec)
+    return labeled, counter
 
 
 def sal_batch(

@@ -51,10 +51,10 @@ from oraclelab.hypotheses import (
     symmetric_difference_segments,
 )
 from oraclelab.oracles import (
+    ConstantGamma,
     NoiseModel,
     OracleBundle,
-    gamma_constant,
-    gamma_rcn,
+    RcnGamma,
 )
 from oraclelab.realizable import run_binary_search_demo, run_cal, run_larch, run_seabel
 
@@ -230,7 +230,7 @@ def test_acceptance_3_larch_seabel_invariants():
 
 def test_acceptance_4_al_guarantees():
     eps, delta, eta = 0.05, 0.1, 0.1
-    gamma = gamma_constant(eta)
+    gamma = ConstantGamma(eta)
     failures: list[str] = []
     successes = members = excesses = 0
     for seed in SEEDS:
@@ -278,8 +278,8 @@ def test_acceptance_5_alarch_error_bounds():
     target = IntervalUnion(((g[3], g[7]), (g[12], g[17])))  # k* = 2
     failures: list[str] = []
     for gamma, bound, name in (
-        (gamma_constant(eta), 2 * eta + eps, "2nu+eps"),
-        (gamma_rcn(eta), eta + eps, "nu+eps"),
+        (ConstantGamma(eta), 2 * eta + eps, "2nu+eps"),
+        (RcnGamma(eta), eta + eps, "nu+eps"),
     ):
         hits = 0
         for seed in SEEDS:
@@ -320,7 +320,7 @@ def test_acceptance_6_aalarch():
     matched = {}
     for seed in SEEDS:
         b = OracleBundle(target, NoiseModel("rcn", eta=eta), seed=seed)
-        h, ledger, _, _ = run_alarch(seq, b, gamma_constant(eta), eps, delta)
+        h, ledger, _, _ = run_alarch(seq, b, ConstantGamma(eta), eps, delta)
         matched[seed] = (ledger.label_queries, ledger.search_queries,
                          b.exact_error(h))
 

@@ -16,10 +16,10 @@ from oraclelab.hypotheses import (
     symmetric_difference_segments,
 )
 from oraclelab.oracles import (
+    ConstantGamma,
     NoiseModel,
     OracleBundle,
-    gamma_constant,
-    gamma_rcn,
+    RcnGamma,
 )
 from oraclelab.agnostic import run_al, run_alarch
 
@@ -56,12 +56,12 @@ class TestRunAl:
         for seed in range(20):
             h = threshold_class()
             b = rcn_bundle(Threshold(0.5), seed)
-            out = run_al(h, b, gamma_constant(ETA), 0.05, 0.1, watch_index=50)
+            out = run_al(h, b, ConstantGamma(ETA), 0.05, 0.1, watch_index=50)
             if out.reason == "success":
                 ok_success += 1
                 if out.version_space.mask[50]:
                     ok_member += 1
-                if dis_restricted_excess(out, b, gamma_constant(ETA)) <= 0.05:
+                if dis_restricted_excess(out, b, ConstantGamma(ETA)) <= 0.05:
                     ok_excess += 1
         assert ok_success >= 18
         assert ok_member >= 18
@@ -70,7 +70,7 @@ class TestRunAl:
     def test_epoch_masks_are_nested(self):
         h = threshold_class()
         b = rcn_bundle(Threshold(0.3), seed=5)
-        out = run_al(h, b, gamma_constant(ETA), 0.05, 0.1)
+        out = run_al(h, b, ConstantGamma(ETA), 0.05, 0.1)
         prev = h.mask
         for m in out.epoch_masks:
             assert not np.any(m & ~prev)
@@ -83,7 +83,7 @@ class TestRunAl:
         h = MaskedVersionSpace(cls)
         target = IntervalUnion(((0.4, 0.6),))
         b = OracleBundle(target, seed=0)
-        out = run_al(h, b, gamma_constant(0.0), 0.1, 0.1)
+        out = run_al(h, b, ConstantGamma(0.0), 0.1, 0.1)
         assert out.reason == "success"
         assert b.ledger.label_queries == 0
         assert out.hypothesis == target
@@ -96,7 +96,7 @@ class TestRunAl:
         for seed in range(10):
             h = threshold_class(21)
             b = rcn_bundle(target, seed)
-            out = run_al(h, b, gamma_rcn(ETA), 0.05, 0.1)
+            out = run_al(h, b, RcnGamma(ETA), 0.05, 0.1)
             if out.rejected:
                 rejected += 1
                 assert out.version_space.is_empty()
@@ -109,7 +109,7 @@ class TestRunAl:
         bounds[0, 0] = (0.0, 1.0)
         cls = EnumeratedClass("solo", 1, 2, bounds, "intervals")
         b = rcn_bundle(IntervalUnion(((0.0, 1.0),)), seed=2, eta=0.3)
-        out = run_al(MaskedVersionSpace(cls), b, gamma_constant(0.3), 0.2, 0.1)
+        out = run_al(MaskedVersionSpace(cls), b, ConstantGamma(0.3), 0.2, 0.1)
         assert b.ledger.label_queries == 0
         assert out.reason == "success"
 
@@ -125,7 +125,7 @@ class TestRunAlarch:
         for seed in range(6):
             b = rcn_bundle(self.target, seed)
             h, ledger, rounds, _ = run_alarch(
-                self.seq, b, gamma_constant(ETA), 0.05, 0.1
+                self.seq, b, ConstantGamma(ETA), 0.05, 0.1
             )
             errs.append(b.exact_error(h))
             searches.append(ledger.search_queries)
@@ -139,7 +139,7 @@ class TestRunAlarch:
         for seed in range(6):
             b = rcn_bundle(self.target, seed)
             h, ledger, rounds, _ = run_alarch(
-                self.seq, b, gamma_rcn(ETA), 0.05, 0.1
+                self.seq, b, RcnGamma(ETA), 0.05, 0.1
             )
             errs.append(b.exact_error(h))
         assert sum(e <= ETA + 0.05 for e in errs) >= 5
@@ -148,7 +148,7 @@ class TestRunAlarch:
         for seed in range(3):
             b = OracleBundle(self.target, seed=seed, validate_search=True)
             h, ledger, rounds, outcomes = run_alarch(
-                self.seq, b, gamma_constant(0.0), 0.05, 0.1
+                self.seq, b, ConstantGamma(0.0), 0.05, 0.1
             )
             assert ball_radius_pair_distance(h, self.target) <= 0.05
             # no early rejection once the class is rich enough for h*
@@ -156,7 +156,7 @@ class TestRunAlarch:
 
     def test_k_strictly_increases_per_counterexample(self):
         b = rcn_bundle(self.target, seed=11)
-        _, _, rounds, _ = run_alarch(self.seq, b, gamma_constant(ETA), 0.05, 0.1)
+        _, _, rounds, _ = run_alarch(self.seq, b, ConstantGamma(ETA), 0.05, 0.1)
         ks = [r.k for r in rounds]
         assert ks == sorted(ks)
         for a, b2 in zip(rounds, rounds[1:]):
@@ -166,7 +166,7 @@ class TestRunAlarch:
     def test_hstar_retention_at_kstar(self):
         b = rcn_bundle(self.target, seed=1)
         _, _, rounds, outcomes = run_alarch(
-            self.seq, b, gamma_constant(ETA), 0.05, 0.1,
+            self.seq, b, ConstantGamma(ETA), 0.05, 0.1,
             watch_hypothesis=self.target,
         )
         final = outcomes[-1]

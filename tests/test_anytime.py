@@ -16,10 +16,10 @@ from oraclelab.anytime import (
     error_check,
     favorable_bias_holds,
     favorable_bias_violations,
+    _CountTracker,
     prune_version_space,
     run_aalarch,
     timeline_to_csv,
-    true_error,
     upgrade_version_space,
 )
 from oraclelab.bounds import sigma
@@ -30,6 +30,8 @@ from oraclelab.hypotheses import (
     MaskedVersionSpace,
     NestedClassSequence,
     Threshold,
+    as_arrays,
+    predict_batch,
 )
 from oraclelab.oracles import NoiseModel, OracleBundle
 
@@ -47,25 +49,27 @@ def rcn_bundle(target, seed, eta=0.1, **kw):
 
 
 class TestTrueError:
+    """The true error err(h), as ``OracleBundle.exact_error`` computes it."""
+
     def test_at_target(self):
         b = rcn_bundle(IntervalUnion(((0.2, 0.5),)), 0)
-        assert true_error(b.target, b) == pytest.approx(0.1)
+        assert b.exact_error(b.target) == pytest.approx(0.1)
 
     def test_mixes_noise_and_distance(self):
         b = rcn_bundle(IntervalUnion(((0.2, 0.5),)), 0)
         h = IntervalUnion(((0.2, 0.7),))  # delta mass 0.2
-        assert true_error(h, b) == pytest.approx(0.1 + 0.8 * 0.2)
+        assert b.exact_error(h) == pytest.approx(0.1 + 0.8 * 0.2)
 
     def test_realizable_reduces_to_distance(self):
         b = OracleBundle(IntervalUnion(((0.2, 0.5),)), seed=0)
         h = IntervalUnion(((0.4, 0.8),))
         # symmetric difference [0.2,0.4) u (0.5,0.8]
-        assert true_error(h, b) == pytest.approx(0.5)
+        assert b.exact_error(h) == pytest.approx(0.5)
 
     def test_pointwise_pool_average(self):
         noise = NoiseModel("pointwise", table=((0.0, 1.0, 0.25),))
         b = OracleBundle(Threshold(0.5), noise, seed=0)
-        assert true_error(Threshold(0.5), b) == pytest.approx(0.25, abs=1e-3)
+        assert b.exact_error(Threshold(0.5)) == pytest.approx(0.25, abs=1e-3)
 
 
 class TestUpgradeVersionSpace:
@@ -102,19 +106,21 @@ class TestPruneVersionSpace:
         cls = NestedClassSequence.threshold_grid(5)
         vs = MaskedVersionSpace(cls, np.array([True, True, False, False, False]))
         labeled = [(0.9, 1), (0.8, 1), (0.6, -1)]  # both thresholds <= 0.25
-        out = prune_version_space(vs, labeled, 0.1)
+        counts = cls.err_counts(*as_arrays(labeled))
+        out = prune_version_space(counts, vs, 3, 0.1, 1)
         assert np.array_equal(out.mask, vs.mask)
 
     def test_empty_dataset_prunes_nothing(self):
         seq = seq_r21(K=1)
         vs = seq.version_space(1, [])
-        out = prune_version_space(vs, [], 0.1)
+        out = prune_version_space(np.zeros(len(vs.cls), np.int64), vs, 0, 0.1, 1)
         assert np.array_equal(out.mask, vs.mask)
 
     def test_singleton_unchanged(self):
         seq = seq_r21(K=1)
         vs = seq.version_space(0, [])
-        out = prune_version_space(vs, [(0.3, 1), (0.6, -1)], 0.1)
+        counts = seq.classes[1].err_counts(*as_arrays([(0.3, 1), (0.6, -1)]))
+        out = prune_version_space(counts, vs, 2, 0.1, 1)
         assert np.array_equal(out.mask, vs.mask)
 
     def test_matches_bruteforce_on_rcn_sample(self):
@@ -124,16 +130,17 @@ class TestPruneVersionSpace:
         xs = b.draw(64)
         ys = b.label_query_batch(xs)
         labeled = list(zip(xs.tolist(), ys.tolist()))
-        out = prune_version_space(vs, labeled, 0.1)
         # independent recomputation straight from the definition
-        hyps = [cls.hypothesis(i) for i in range(len(cls))]
+        hyps = [cls.hypothesis(j) for j in range(len(cls))]
         errs = np.array(
             [sum(1 for x, y in labeled if gridref.predict(h, x) != y) for h in hyps]
         ) / len(labeled)
-        s = sigma(1, 64, 0.1 / ((1 + 1) * (1 + 2)))
         bmin = errs.min()
-        want = errs <= bmin + 2 * math.sqrt(bmin * s) + 3 * s
-        assert np.array_equal(out.mask, want)
+        for i in (1, 7):
+            out = prune_version_space(cls.err_counts(xs, ys), vs, 64, 0.1, i)
+            s = sigma(1, 64, 0.1 / (i * (i + 1)) / ((1 + 1) * (1 + 2)))
+            want = errs <= bmin + 2 * math.sqrt(bmin * s) + 3 * s
+            assert np.array_equal(out.mask, want)
 
     def test_never_empties(self):
         cls = NestedClassSequence.threshold_grid(21)
@@ -142,7 +149,7 @@ class TestPruneVersionSpace:
         for _ in range(20):
             xs = rng.random(32)
             ys = rng.choice([-1, 1], 32)
-            out = prune_version_space(vs, list(zip(xs, ys)), 0.05)
+            out = prune_version_space(cls.err_counts(xs, ys), vs, 32, 0.05, 1)
             assert not out.is_empty()
 
 
@@ -153,7 +160,8 @@ class TestErrorCheck:
         b = rcn_bundle(IntervalUnion(((0.2, 0.5),)), 5)
         xs = b.draw(256)
         ys = b.label_query_batch(xs)
-        assert not error_check(vs, list(zip(xs, ys)), 0.1, seq)
+        counts = seq.classes[2].err_counts(xs, ys)
+        assert not error_check(counts, vs, 256, 0.1, 1, seq)
 
     def test_true_for_uniformly_bad_survivors(self):
         seq = seq_r21(K=2)
@@ -161,15 +169,50 @@ class TestErrorCheck:
         b = rcn_bundle(target, 7)
         xs = b.draw(2048)
         ys = b.label_query_batch(xs)
-        labeled = list(zip(xs, ys))
+        counts = seq.classes[2].err_counts(xs, ys)
         # survivors: H_0 only (always-negative), errs ~ 0.34 while H_1
         # holds a near-perfect hypothesis
         vs = seq.version_space(0, [])
-        assert error_check(vs, labeled, 0.1, seq)
+        assert error_check(counts, vs, 2048, 0.1, 1, seq)
+
+    def test_matches_definition(self):
+        # independent recomputation, class by class from pointwise
+        # predictions, against the prefix slices of one count vector
+        seq = NestedClassSequence.enumerated_intervals(2, resolution=7)
+        g = seq.grid
+        b = rcn_bundle(IntervalUnion(((g[1], g[3]), (g[4], g[5]))), 11)
+        xs = b.draw(3000)
+        ys = b.label_query_batch(xs)
+        outcomes = set()
+        for l in (300, 3000):
+            mins = [
+                min(
+                    int((predict_batch(cls.hypothesis(j), xs[:l]) != ys[:l]).sum())
+                    for j in range(len(cls))
+                ) / l
+                for cls in seq.classes
+            ]
+            counts = seq.classes[2].err_counts(xs[:l], ys[:l])
+            for k in (0, 1, 2):
+                i = 3
+                s = [
+                    sigma(seq.d(kp), l, 0.1 / (i * (i + 1)) / ((kp + 1) * (kp + 2)))
+                    for kp in range(3)
+                ]
+                gamma = min(
+                    mins[kp] + 2 * math.sqrt(mins[kp] * s[kp]) + 3 * s[kp]
+                    for kp in range(k, 3)
+                )
+                want = mins[k] > gamma + 2 * math.sqrt(gamma * s[k]) + 3 * s[k]
+                got = error_check(counts, seq.version_space(k, []), l, 0.1, i, seq)
+                assert got == want, (l, k)
+                outcomes.add(got)
+        assert outcomes == {True, False}
 
     def test_empty_dataset_never_trips(self):
         seq = seq_r21(K=1)
-        assert not error_check(seq.version_space(0, []), [], 0.1, seq)
+        counts = np.zeros(len(seq.classes[1]), np.int64)
+        assert not error_check(counts, seq.version_space(0, []), 0, 0.1, 1, seq)
 
 
 class TestRunAalarch:
@@ -257,19 +300,28 @@ class TestRunAalarch:
         assert not math.isnan(e)
         assert math.isnan(error_at_cost(res.timeline, -1.0))
 
-    def test_fast_paths_match_standalone_subroutines(self):
-        # replay a run's verified dataset through the standalone EC/PVS
-        b, _, res = self.run_one(4, cost_cap=400.0)
-        labeled = [(r.x, r.y) for r in res.working[: res.verified_size]]
-        if not labeled:
-            pytest.skip("run verified nothing at this budget")
-        vs = self.seq.version_space(res.final_k, [])
-        pr = prune_version_space(vs, labeled, 0.01)
-        ec = error_check(vs, labeled, 0.01, self.seq)
-        # standalone results are deterministic functions of the dataset
-        pr2 = prune_version_space(vs, labeled, 0.01)
-        assert np.array_equal(pr.mask, pr2.mask)
-        assert ec == error_check(vs, labeled, 0.01, self.seq)
+    def test_tracker_counts_match_err_counts(self):
+        # after every append, commit and rollback the tracker holds the
+        # top class's error counts on the matching working prefix
+        b = rcn_bundle(self.target, 4)
+        xs = b.draw(300)
+        ys = b.label_query_batch(xs)
+        top = self.seq.classes[self.seq.K_max]
+        tracker = _CountTracker(self.seq)
+        cut = 120
+        for j in range(len(xs)):
+            tracker.append(float(xs[j]), int(ys[j]))
+            if j + 1 == cut:
+                tracker.commit()
+        full, prefix = top.err_counts(xs, ys), top.err_counts(xs[:cut], ys[:cut])
+        assert np.array_equal(tracker.counts, full)
+        assert np.array_equal(tracker.committed, prefix)
+        tracker.rollback()
+        assert np.array_equal(tracker.counts, prefix)
+        for j in range(cut, len(xs)):
+            tracker.append(float(xs[j]), int(ys[j]))
+        assert np.array_equal(tracker.counts, full)
+        assert np.array_equal(tracker.committed, prefix)
 
 
 EC_UPGRADE_PIN = Path(__file__).resolve().parent / "golden" / "ec_upgrade_run.json"

@@ -14,8 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclelab.bounds import (
-    BoundParams,
-    DeltaSchedule,
     bernstein_upper,
     delta_schedule,
     freedman_count_bound,
@@ -112,7 +110,13 @@ class TestSampleSizeCap:
         with pytest.raises(ValueError):
             sample_size_cap(1, 1.5, 0.5)
         with pytest.raises(ValueError):
+            sample_size_cap(1, 0.0, 0.5)
+        with pytest.raises(ValueError):
             sample_size_cap(1, 0.5, 0.0)
+        with pytest.raises(ValueError):
+            sample_size_cap(1, 0.5, 1.5)
+        with pytest.raises(ValueError):
+            sample_size_cap(-1, 0.5, 0.5)
 
 
 class TestBernsteinUpper:
@@ -179,22 +183,3 @@ class TestDeltaSchedule:
     def test_rejects_bad_iteration(self):
         with pytest.raises(ValueError):
             delta_schedule(0.1, 0)
-
-    def test_materialized_view_caches(self):
-        sched = DeltaSchedule(0.12)
-        assert sched.at(3) == pytest.approx(0.01)
-        assert sched.at(3, 1) == pytest.approx(0.0016666666667, rel=1e-9)
-        assert 3 in sched.per_iteration and (3, 1) in sched.per_iteration_class
-
-
-class TestBoundParams:
-    def test_validation(self):
-        BoundParams(d=0, m=1, delta=0.5, epsilon=0.5)
-        with pytest.raises(ValueError):
-            BoundParams(d=-1, m=1, delta=0.5)
-        with pytest.raises(ValueError):
-            BoundParams(d=1, m=0, delta=0.5)
-        with pytest.raises(ValueError):
-            BoundParams(d=1, m=1, delta=1.5)
-        with pytest.raises(ValueError):
-            BoundParams(d=1, m=1, delta=0.5, epsilon=0.0)

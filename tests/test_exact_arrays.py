@@ -1,8 +1,9 @@
 """Array kernels of the exact backend against the code they replaced.
 
-The references are copies of the dict-based constraint dedupe and of the
-classify / dis_region sweeps over every breakpoint (the unmerged
-partition), plus the pointwise definitions in ``gridref``.
+The references are copies of the dict-based constraint dedupe, of the
+threshold-range loop over (x, y) pairs and of the classify / dis_region
+sweeps over every breakpoint (the unmerged partition), plus the pointwise
+definitions in ``gridref``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,21 @@ def dict_dedup(examples):
     xs = np.array(sorted(pts), dtype=np.float64)
     ys = np.array([pts[x] for x in xs], dtype=np.int8)
     return xs, ys, conflict
+
+
+def threshold_loop(examples, lo=0.0, lo_closed=True, hi=1.0, hi_closed=True):
+    """The pair loop the threshold space's array update replaced."""
+    for x, y in examples:
+        if y == 1:
+            if x < hi:
+                hi, hi_closed = float(x), True
+        elif x > lo or (x == lo and lo_closed):
+            lo, lo_closed = float(x), False
+    return lo, lo_closed, hi, hi_closed
+
+
+def threshold_range(vs):
+    return vs.lo, vs.lo_closed, vs.hi, vs.hi_closed
 
 
 def unmerged_classify(parts, xs):
@@ -145,8 +161,13 @@ def test_tuple_of_two_pairs_is_read_as_pairs():
     ],
 )
 def test_labels_must_be_plus_minus_one(given):
-    with pytest.raises(ValueError, match="label must be"):
-        _dedup_examples(given)
+    for build in (
+        _dedup_examples,
+        ThresholdVersionSpace.from_examples,
+        ThresholdVersionSpace(0.2, 0.8, True, True).with_examples,
+    ):
+        with pytest.raises(ValueError, match="label must be"):
+            build(given)
 
 
 @pytest.mark.parametrize(
@@ -175,6 +196,20 @@ def test_pairs_and_arrays_build_the_same_space(trial):
     assert a2._runs == b2._runs
     want = dict_dedup(pairs + list(zip(ex.tolist(), ey.tolist())))
     assert a2.xs.tolist() == want[0].tolist() and a2.ys.tolist() == want[1].tolist()
+    ta = ThresholdVersionSpace.from_examples(pairs)
+    tb = ThresholdVersionSpace.from_examples((xs, ys))
+    assert threshold_range(ta) == threshold_range(tb) == threshold_loop(pairs)
+    ta2 = ta.with_examples(list(zip(ex.tolist(), ey.tolist())))
+    tb2 = tb.with_examples((ex, ey))
+    want_t = threshold_loop(zip(ex.tolist(), ey.tolist()), *threshold_range(ta))
+    assert threshold_range(ta2) == threshold_range(tb2) == want_t
+
+
+def test_conflict_survives_with_examples():
+    vs = IntervalVersionSpace(1, [(0.5, 1), (0.5, -1)])
+    assert vs.is_empty()
+    assert vs.with_examples([(0.7, -1)]).is_empty()
+    assert vs.with_examples((np.array([0.2]), np.array([1]))).is_empty()
 
 
 @pytest.mark.parametrize("trial", range(10))

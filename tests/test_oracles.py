@@ -17,12 +17,12 @@ from oraclelab.hypotheses import (
     predict,
 )
 from oraclelab.oracles import (
+    ConstantGamma,
     DrawnExample,
     NoiseModel,
     OracleBundle,
+    RcnGamma,
     SearchSoundnessError,
-    gamma_constant,
-    gamma_rcn,
     sal_batch,
     sal_step,
     transcript_to_jsonl,
@@ -196,18 +196,18 @@ class TestSearchOracle:
 
 class TestGammaOracles:
     def test_constant(self):
-        g = gamma_constant(0.1)
+        g = ConstantGamma(0.1)
         vs = IntervalVersionSpace(1, [(0.5, 1)])
         assert g(vs) == 0.1
-        assert gamma_constant(0.0)(vs) == 0.0
+        assert ConstantGamma(0.0)(vs) == 0.0
 
     def test_rcn_product(self):
-        g = gamma_rcn(0.1)
+        g = RcnGamma(0.1)
         vs = ThresholdVersionSpace.from_examples([(0.3, -1), (0.7, 1)])
         assert g(vs) == pytest.approx(0.1 * 0.4)
 
     def test_rcn_zero_mass(self):
-        g = gamma_rcn(0.25)
+        g = RcnGamma(0.25)
         vs = ThresholdVersionSpace(0.4, 0.4, True, True)
         assert g(vs) == 0.0
 
@@ -217,12 +217,12 @@ class TestGammaOracles:
         for s in ([(0.3, -1), (0.7, 1)], [(0.5, 1)], []):
             vs = ThresholdVersionSpace.from_examples(s)
             exact = eta * vs.dis_region().mass
-            assert exact <= gamma_rcn(eta)(vs) + 1e-12
-            assert gamma_rcn(eta)(vs) <= gamma_constant(eta)(vs) + 1e-12
+            assert exact <= RcnGamma(eta)(vs) + 1e-12
+            assert RcnGamma(eta)(vs) <= ConstantGamma(eta)(vs) + 1e-12
 
     def test_rejects_half(self):
         with pytest.raises(ValueError):
-            gamma_rcn(0.5)
+            RcnGamma(0.5)
 
 
 class TestSal:
@@ -235,6 +235,13 @@ class TestSal:
         assert c == 0 and b.ledger.label_queries == 0
         assert all(not r.queried for r in L)
         assert all(r.y == predict(Threshold(0.4), r.x) for r in L)
+
+    def test_step_appends_in_place(self):
+        vs = IntervalVersionSpace(1, [(0.5, 1)])
+        b = make_bundle(IntervalUnion(((0.4, 0.6),)))
+        L: list[DrawnExample] = []
+        out, _ = sal_step(vs, b, L, 0)
+        assert out is L and len(L) == 1
 
     def test_full_disagreement_always_queries(self):
         vs = IntervalVersionSpace(1, [(0.5, 1)])  # DIS mass 1
