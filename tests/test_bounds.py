@@ -110,13 +110,7 @@ class TestSampleSizeCap:
         with pytest.raises(ValueError):
             sample_size_cap(1, 1.5, 0.5)
         with pytest.raises(ValueError):
-            sample_size_cap(1, 0.0, 0.5)
-        with pytest.raises(ValueError):
             sample_size_cap(1, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            sample_size_cap(1, 0.5, 1.5)
-        with pytest.raises(ValueError):
-            sample_size_cap(-1, 0.5, 0.5)
 
 
 class TestBernsteinUpper:
@@ -183,3 +177,22 @@ class TestDeltaSchedule:
     def test_rejects_bad_iteration(self):
         with pytest.raises(ValueError):
             delta_schedule(0.1, 0)
+
+
+class TestBoundParams:
+    """The (d, m, delta, epsilon) ranges every bound accepts, checked at
+    the functions that consume them."""
+
+    def test_validation(self):
+        phi(0, 1, 0.5)
+        sample_size_cap(0, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            phi(-1, 1, 0.5)
+        with pytest.raises(ValueError):
+            sample_size_cap(-1, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            phi(1, 0, 0.5)
+        with pytest.raises(ValueError):
+            sample_size_cap(1, 0.5, 1.5)
+        with pytest.raises(ValueError):
+            sample_size_cap(1, 0.0, 0.5)
