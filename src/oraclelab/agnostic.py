@@ -17,9 +17,9 @@ sets, which is why everything runs on explicit finite classes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,25 +31,9 @@ from .hypotheses import (
     MaskedVersionSpace,
     NestedClassSequence,
 )
-from .oracles import GammaOracle, OracleBundle, QueryLedger, sal_batch
+from .oracles import GammaOracle, OracleBundle, QueryLedger, event, sal_batch
 
-__all__ = ["AlEpochRow", "AlOutcome", "AlarchRound", "run_al", "run_alarch"]
-
-
-@dataclass
-class AlEpochRow:
-    k: int
-    i: int
-    empirical_error: float
-    gamma_prev: float
-    sigma_value: float
-    survivors: int
-    outcome: str  # "continue" | "early-reject" | "success"
-    watch_survives: bool | None = None
-    watch_is_erm: bool | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
+__all__ = ["AlOutcome", "run_al", "run_alarch"]
 
 
 @dataclass
@@ -66,7 +50,7 @@ class AlOutcome:
     hypothesis_index: int
     halting_epoch: int
     reason: str  # "early-reject" | "success"
-    trace: list[AlEpochRow] = field(default_factory=list)
+    trace: list[SimpleNamespace] = field(default_factory=list)
     epoch_masks: list[np.ndarray] = field(default_factory=list)
 
     @property
@@ -106,8 +90,10 @@ def run_al(
     gamma is the oracle's bound for the pre-epoch version space.
     Empirical errors are exact integer counts over the 2^i sample.
 
-    ``watch_index`` marks one hypothesis whose survival and ERM status
-    are recorded per epoch (diagnostics only, never a decision input).
+    Each epoch appends one "al-epoch" record; its ``outcome`` is
+    "continue", "early-reject" or "success". ``watch_index`` marks one
+    hypothesis whose survival and ERM status are recorded per epoch
+    (diagnostics only, never a decision input).
     """
     if h_class.is_empty():
         raise EmptyVersionSpaceError("input class must be nonempty")
@@ -115,7 +101,7 @@ def run_al(
         d = h_class.vc_dim
     cap = _epoch_cap(d, bundle.noise.nu, epsilon, delta)
     vs = h_class
-    trace: list[AlEpochRow] = []
+    trace: list[SimpleNamespace] = []
     masks: list[np.ndarray] = []
     for i in range(1, cap + 1):
         m = 2**i
@@ -130,8 +116,11 @@ def run_al(
         ball = b + 3.0 * math.sqrt(b * s) + 4.0 * s
         new_mask = np.zeros(len(vs.cls), dtype=bool)
         new_mask[idx] = counts / m <= ball
-        row = AlEpochRow(
-            vs.k, i, b, gamma_prev, s, int(new_mask.sum()), "continue"
+        row = event(
+            "al-epoch", bundle.ledger, k=vs.k, i=i, empirical_error=b,
+            gamma_prev=gamma_prev, sigma_value=s,
+            survivors=int(new_mask.sum()), outcome="continue",
+            watch_survives=None, watch_is_erm=None,
         )
         if watch_index is not None:
             row.watch_survives = bool(new_mask[watch_index])
@@ -156,18 +145,6 @@ def run_al(
     )
 
 
-@dataclass
-class AlarchRound:
-    k: int
-    al_reason: str
-    al_epochs: int
-    search_result: str  # "bot" | "counterexample" | "skipped"
-    ledger: dict
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-
 def run_alarch(
     seq: NestedClassSequence,
     bundle: OracleBundle,
@@ -175,7 +152,7 @@ def run_alarch(
     epsilon: float,
     delta: float,
     watch_hypothesis: Hypothesis | None = None,
-) -> tuple[Hypothesis, QueryLedger, list[AlarchRound], list[AlOutcome]]:
+) -> tuple[Hypothesis, QueryLedger, list[SimpleNamespace], list[AlOutcome]]:
     """Structural-risk walk over the nested classes with SEARCH probes.
 
     Round at class k runs the inner loop on H_k(S) with confidence
@@ -183,13 +160,15 @@ def run_alarch(
     the k-th round's class index is unique per run since k strictly
     increases). Rejected class: k+1. Success: SEARCH the returned
     version space; None returns its hypothesis, a counterexample lands
-    in S and k jumps to the next consistent class.
+    in S and k jumps to the next consistent class. Each round appends
+    one "alarch-round" record; its ``search_result`` is "skipped" (after
+    a rejection), "bot" or "counterexample".
     """
     if seq.backend != "enumerated":
         raise ValueError("the agnostic learners need the enumerated backend")
     s: list[LabeledExample] = []
     k = 0
-    rounds: list[AlarchRound] = []
+    rounds: list[SimpleNamespace] = []
     outcomes: list[AlOutcome] = []
     while True:
         if k > seq.K_max:
@@ -207,23 +186,20 @@ def run_alarch(
             d=seq.d(k), watch_index=watch_index,
         )
         outcomes.append(outcome)
-        if outcome.rejected:
-            rounds.append(
-                AlarchRound(k, outcome.reason, outcome.halting_epoch,
-                            "skipped", bundle.ledger.snapshot())
-            )
-            k += 1
-            continue
-        e = bundle.search_query(outcome.version_space, k=k)
-        if e is None:
-            rounds.append(
-                AlarchRound(k, outcome.reason, outcome.halting_epoch,
-                            "bot", bundle.ledger.snapshot())
-            )
-            return outcome.hypothesis, bundle.ledger, rounds, outcomes
-        s.append(e)
+        e, result = None, "skipped"
+        if not outcome.rejected:
+            e = bundle.search_query(outcome.version_space, k=k)
+            result = "bot" if e is None else "counterexample"
         rounds.append(
-            AlarchRound(k, outcome.reason, outcome.halting_epoch,
-                        "counterexample", bundle.ledger.snapshot())
+            event(
+                "alarch-round", bundle.ledger, k=k, al_reason=outcome.reason,
+                al_epochs=outcome.halting_epoch, search_result=result,
+            )
         )
-        k = seq.min_consistent_index(s, k_lo=k + 1)
+        if outcome.rejected:
+            k += 1
+        elif e is None:
+            return outcome.hypothesis, bundle.ledger, rounds, outcomes
+        else:
+            s.append(e)
+            k = seq.min_consistent_index(s, k_lo=k + 1)

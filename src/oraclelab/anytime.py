@@ -21,10 +21,10 @@ every class and version space at once.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -36,13 +36,11 @@ from .hypotheses import (
     MaskedVersionSpace,
     NestedClassSequence,
 )
-from .oracles import DrawnExample, OracleBundle, QueryLedger, sal_step
+from .oracles import DrawnExample, OracleBundle, QueryLedger, event, sal_step
 
 __all__ = [
     "AalarchDiagnostics",
     "AalarchResult",
-    "AnytimeTraceRow",
-    "TimelineRow",
     "error_at_cost",
     "error_check",
     "prune_version_space",
@@ -80,9 +78,10 @@ def error_check(
     for kp in range(vs.k, seq.K_max + 1):
         b = counts[: len(seq.classes[kp])].min() / l
         s = sigma(seq.d(kp), l, delta_schedule(delta, i, kp))
+        if kp == vs.k:
+            s_k = s
         gamma = min(gamma, b + 2.0 * math.sqrt(b * s) + 3.0 * s)
     b_vs = counts[vs.survivor_indices()].min() / l
-    s_k = sigma(seq.d(vs.k), l, delta_schedule(delta, i, vs.k))
     return b_vs > gamma + 2.0 * math.sqrt(gamma * s_k) + 3.0 * s_k
 
 
@@ -160,61 +159,34 @@ class _CountTracker:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TimelineRow:
-    cost: float
-    label_queries: int
-    search_queries: int
-    k: int
-    verified_size: int
-    solution_error: float  # nan until a solution is stored
-    verified: bool
-
-    def to_csv(self) -> str:
-        err = "" if math.isnan(self.solution_error) else f"{self.solution_error:.10g}"
-        return (
-            f"{self.cost:.10g},{self.label_queries},{self.search_queries},"
-            f"{self.k},{self.verified_size},{err},{int(self.verified)}"
-        )
-
-
 TIMELINE_HEADER = (
     "cost,label_queries,search_queries,k,verified_size,"
     "exact_error_of_solution,verified"
 )
 
 
-def timeline_to_csv(timeline: list[TimelineRow]) -> str:
-    return "\n".join([TIMELINE_HEADER] + [r.to_csv() for r in timeline])
+def timeline_to_csv(timeline: list[SimpleNamespace]) -> str:
+    lines = [TIMELINE_HEADER]
+    for r in timeline:
+        led = r.ledger
+        err = "" if math.isnan(r.solution_error) else f"{r.solution_error:.10g}"
+        lines.append(
+            f"{led['cost']:.10g},{led['label_queries']},{led['search_queries']},"
+            f"{r.k},{r.verified_size},{err},{int(r.verified)}"
+        )
+    return "\n".join(lines)
 
 
-def error_at_cost(timeline: list[TimelineRow], cost: float) -> float:
+def error_at_cost(timeline: list[SimpleNamespace], cost: float) -> float:
     """Exact error of the stored solution at the moment the spent cost
     first reaches ``cost`` (nan if no solution was stored by then)."""
     err = math.nan
     for row in timeline:
-        if row.cost > cost:
+        if row.ledger["cost"] > cost:
             break
         if not math.isnan(row.solution_error):
             err = row.solution_error
     return err
-
-
-@dataclass
-class AnytimeTraceRow:
-    event: str  # "ec-upgrade" | "counterexample" | "verified" | "budget"
-    i: int
-    k: int
-    working_size: int
-    verified_size: int
-    labels_since_reset: int
-    ledger: dict
-    max_survivor_error: float | None = None
-    errh_bound: float | None = None
-    hstar_in_vs: bool | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 @dataclass
@@ -256,8 +228,8 @@ class AalarchDiagnostics:
 
 @dataclass
 class AalarchResult:
-    timeline: list[TimelineRow]
-    trace: list[AnytimeTraceRow]
+    timeline: list[SimpleNamespace]
+    trace: list[SimpleNamespace]
     ledger: QueryLedger
     solution: Hypothesis | None
     final_k: int
@@ -288,6 +260,10 @@ def run_aalarch(
 
     The working dataset is bounded by n_cap, so a degenerate block (no
     room to sample) still issues its SEARCH and the budget drains.
+
+    ``trace`` gets one "ec-upgrade", "counterexample" or "verified"
+    record per restart or SEARCH; ``timeline`` gets one "timeline"
+    record at the start and after every SEARCH.
     """
     if tau < 1.0:
         raise ValueError(f"cost ratio tau must be >= 1, got {tau}")
@@ -308,32 +284,59 @@ def run_aalarch(
     solution_err = math.nan
     unverified = 0
     discarded = 0
-    timeline: list[TimelineRow] = [_tl_row(bundle, k, 0, math.nan, False)]
-    trace: list[AnytimeTraceRow] = []
+    timeline: list[SimpleNamespace] = []
+    trace: list[SimpleNamespace] = []
 
-    def diag_fields(vs_now: MaskedVersionSpace) -> dict:
-        if diagnostics is None:
-            return {}
-        surv = vs_now.survivor_indices()
-        hstar_in = None
-        if diagnostics.hstar_index is not None:
-            # classes are prefix-nested: an index past the current class's
-            # length means the target is not a member of this class at all
-            hstar_in = diagnostics.hstar_index < len(vs_now.mask) and bool(
-                vs_now.mask[diagnostics.hstar_index]
+    def mark(verified: bool) -> None:
+        timeline.append(
+            event(
+                "timeline", bundle.ledger, k=k, verified_size=tilde_len,
+                solution_error=solution_err, verified=verified,
             )
-        out = {
-            "max_survivor_error": float(diagnostics.exact_errors[surv].max())
-            if len(surv)
-            else None,
-            "hstar_in_vs": hstar_in,
-        }
-        out["errh_bound"] = _errh_bound(
-            bundle.noise.nu, seq, diagnostics.kstar, max(len(working), 1),
-            max(i, 1), delta,
         )
-        return out
 
+    def note(kind: str) -> None:
+        """Append a trace record; its target-aware fields stay None
+        without diagnostics."""
+        diag = {"max_survivor_error": None, "errh_bound": None,
+                "hstar_in_vs": None}
+        if diagnostics is not None:
+            surv = vs.survivor_indices()
+            if len(surv):
+                diag["max_survivor_error"] = float(
+                    diagnostics.exact_errors[surv].max()
+                )
+            j = diagnostics.hstar_index
+            if j is not None:
+                # classes are prefix-nested: an index past the current
+                # class's length means the target is not a member at all
+                diag["hstar_in_vs"] = j < len(vs.mask) and bool(vs.mask[j])
+            diag["errh_bound"] = _errh_bound(
+                bundle.noise.nu, seq, diagnostics.kstar,
+                max(len(working), 1), max(i, 1), delta,
+            )
+        trace.append(
+            event(
+                kind, bundle.ledger, i=i, k=k, working_size=len(working),
+                verified_size=tilde_len, labels_since_reset=c, **diag,
+            )
+        )
+
+    def restart(kind: str, e: LabeledExample | None) -> None:
+        """Upgrade the class (past the counterexample e, if any) and roll
+        the working dataset back to the trusted snapshot."""
+        nonlocal k, s, vs, working, discarded, unverified
+        k, s, vs = upgrade_version_space(k, s, e, seq)
+        vs = prune_version_space(
+            tracker.committed, vs, tilde_len, delta, max(i, 1)
+        )
+        discarded += len(working) - tilde_len
+        working = working[:tilde_len]
+        tracker.rollback()
+        unverified += 1
+        note(kind)
+
+    mark(False)
     while bundle.ledger.cost < cost_cap:
         c = 0
         upgraded = False
@@ -341,20 +344,7 @@ def run_aalarch(
             if error_check(
                 tracker.counts, vs, len(working), delta, max(i, 1), seq
             ):
-                k, s, vs = upgrade_version_space(k, s, None, seq)
-                vs = prune_version_space(
-                    tracker.committed, vs, tilde_len, delta, max(i, 1)
-                )
-                discarded += len(working) - tilde_len
-                working = working[:tilde_len]
-                tracker.rollback()
-                unverified += 1
-                trace.append(
-                    AnytimeTraceRow(
-                        "ec-upgrade", i, k, len(working), tilde_len, c,
-                        bundle.ledger.snapshot(), **diag_fields(vs),
-                    )
-                )
+                restart("ec-upgrade", None)
                 upgraded = True
                 break
             if bundle.ledger.cost >= cost_cap or len(working) >= n_cap:
@@ -372,21 +362,8 @@ def run_aalarch(
             break
         e = bundle.search_query(vs, k=k)
         if e is not None:
-            k, s, vs = upgrade_version_space(k, s, e, seq)
-            vs = prune_version_space(
-                tracker.committed, vs, tilde_len, delta, max(i, 1)
-            )
-            discarded += len(working) - tilde_len
-            working = working[:tilde_len]
-            tracker.rollback()
-            unverified += 1
-            trace.append(
-                AnytimeTraceRow(
-                    "counterexample", i, k, len(working), tilde_len, c,
-                    bundle.ledger.snapshot(), **diag_fields(vs),
-                )
-            )
-            timeline.append(_tl_row(bundle, k, tilde_len, solution_err, False))
+            restart("counterexample", e)
+            mark(False)
         else:
             tilde_len = len(working)
             tracker.commit()
@@ -396,13 +373,8 @@ def run_aalarch(
             if best is not None:
                 solution = vs.cls.hypothesis(best)
                 solution_err = bundle.exact_error(solution)
-            trace.append(
-                AnytimeTraceRow(
-                    "verified", i, k, len(working), tilde_len, c,
-                    bundle.ledger.snapshot(), **diag_fields(vs),
-                )
-            )
-            timeline.append(_tl_row(bundle, k, tilde_len, solution_err, True))
+            note("verified")
+            mark(True)
     return AalarchResult(
         timeline,
         trace,
@@ -416,14 +388,6 @@ def run_aalarch(
     )
 
 
-def _tl_row(bundle, k, tilde_len, solution_err, verified) -> TimelineRow:
-    led = bundle.ledger
-    return TimelineRow(
-        led.cost, led.label_queries, led.search_queries, k, tilde_len,
-        solution_err, verified,
-    )
-
-
 def _errh_bound(
     nu: float, seq: NestedClassSequence, kstar: int, l: int, i: int,
     delta: float,
@@ -434,39 +398,6 @@ def _errh_bound(
     return nu + 8.0 * math.sqrt(nu * s) + 35.0 * s
 
 
-def favorable_bias_holds(
-    working: Sequence[DrawnExample],
-    classes: Iterable,
-    target: Hypothesis,
-    prefix: int | None = None,
-) -> bool:
-    """Exact integer check of the favorable-bias inequality on a prefix of
-    the working dataset: for every hypothesis h,
-
-        errcount(h, L^D) - errcount(h*, L^D)
-            <= errcount(h, L) - errcount(h*, L),
-
-    where L^D relabels inferred points with their shadow labels (queried
-    points keep the labels they got)."""
-    from .hypotheses import predict_batch
-
-    recs = list(working if prefix is None else working[:prefix])
-    if not recs:
-        return True
-    xs = np.array([r.x for r in recs])
-    ys = np.array([r.y for r in recs], dtype=np.int8)
-    shadow = np.array([r.shadow_y for r in recs], dtype=np.int8)
-    star = predict_batch(target, xs)
-    star_work = int((star != ys).sum())
-    star_shadow = int((star != shadow).sum())
-    for cls in classes:
-        work = cls.err_counts(xs, ys)
-        shad = cls.err_counts(xs, shadow)
-        if np.any((shad - star_shadow) > (work - star_work)):
-            return False
-    return True
-
-
 def favorable_bias_violations(
     working: Sequence[DrawnExample],
     cls,
@@ -474,8 +405,16 @@ def favorable_bias_violations(
     upto: int,
 ) -> int:
     """Number of (hypothesis, prefix) pairs violating the favorable-bias
-    inequality over every prefix length 1..upto at once, via cumulative
-    error counts. Zero means the bias holds at every verified step."""
+    inequality
+
+        errcount(h, L^D) - errcount(h*, L^D)
+            <= errcount(h, L) - errcount(h*, L)
+
+    over every prefix L of length 1..upto at once, via cumulative error
+    counts; L^D relabels inferred points with their shadow labels
+    (queried points keep the labels they got). Zero means the bias holds
+    at every verified step, and for every class that is a prefix of
+    ``cls``."""
     from .hypotheses import predict_batch
 
     recs = list(working[:upto])

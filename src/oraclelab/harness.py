@@ -506,13 +506,17 @@ def validate_against_bruteforce(
     its exact twin, a random on-grid constraint set, and a random target.
     Checks disagreement regions (masked backend against naive enumeration,
     exact backend against the masked one at cell midpoints), minimum
-    consistent indices, ERM, version-space pruning, and SEARCH soundness
-    plus grid completeness. Returns every mismatch found.
+    consistent indices, ERM, version-space pruning (on the sample, and on
+    error counts placed at the pruning radius), and SEARCH soundness plus
+    grid completeness. Returns every mismatch found.
     """
     from .anytime import prune_version_space
     from .bounds import sigma as _sigma
 
     rng = np.random.default_rng(seed)
+    # the radius cases draw from their own stream, so the other checks
+    # see the same instances with or without them
+    edge_rng = np.random.default_rng([seed, 1])
     mismatches: list[str] = []
     checks = 0
     for inst in range(instances):
@@ -643,6 +647,23 @@ def validate_against_bruteforce(
         checks += 1
         if not np.array_equal(pruned.mask, want_mask):
             mismatches.append(f"[{inst}] pruned mask deviates from definition")
+
+        # pruning at its radius: one member's count sits on floor(n radius),
+        # one a count past it; n is large enough that moving any constant
+        # of the radius by 0.1 moves that floor by at least one count
+        n = int(edge_rng.integers(4000, 20000))
+        low, on, past = edge_rng.choice(len(cls), size=3, replace=False)
+        least = int(edge_rng.integers(n // 20, n // 4))
+        b = least / n
+        sg = _sigma(cls.vc_dim, n, delta / 2 / ((cls.k + 1) * (cls.k + 2)))
+        radius = b + 2.0 * math.sqrt(b * sg) + 3.0 * sg
+        edge = math.floor(n * radius)
+        counts = np.full(len(cls), n)
+        counts[[low, on, past]] = least, edge, edge + 1
+        pruned = prune_version_space(counts, MaskedVersionSpace(cls), n, delta, 1)
+        checks += 1
+        if not np.array_equal(pruned.mask, counts / n <= radius):
+            mismatches.append(f"[{inst}] pruning radius deviates at n={n}")
 
         # SEARCH soundness and grid completeness
         t_idx = int(rng.integers(len(cls)))

@@ -331,9 +331,6 @@ class IntervalVersionSpace:
     def is_empty(self) -> bool:
         return self._runs is None or self._runs > self.k
 
-    def examples(self) -> list[LabeledExample]:
-        return [LabeledExample(float(x), int(y)) for x, y in zip(self.xs, self.ys)]
-
     def with_examples(self, extra: Examples) -> "IntervalVersionSpace":
         """The constraints so far plus ``extra``; on a repeated x the
         older label wins. A space emptied by a conflict stays empty."""
@@ -741,9 +738,6 @@ class MaskedVersionSpace:
 
     def is_empty(self) -> bool:
         return not bool(self.mask.any())
-
-    def survivor_count(self) -> int:
-        return int(self.mask.sum())
 
     def survivor_indices(self) -> np.ndarray:
         return np.nonzero(self.mask)[0]

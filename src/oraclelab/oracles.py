@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -133,6 +134,18 @@ class QueryLedger:
             "unlabeled_draws": self.unlabeled_draws,
             "cost": self.cost,
         }
+
+
+def event(kind: str, ledger: QueryLedger, **fields) -> SimpleNamespace:
+    """The one record every trace, timeline and transcript holds: its
+    kind as ``event``, the ledger at that moment, and the kind's own
+    fields, all flat attributes."""
+    return SimpleNamespace(event=kind, ledger=ledger.snapshot(), **fields)
+
+
+def events_to_jsonl(events: Iterable[SimpleNamespace]) -> str:
+    """One JSON object per record and line, keys sorted."""
+    return "\n".join(json.dumps(vars(e), sort_keys=True) for e in events)
 
 
 class DrawnExample(NamedTuple):
@@ -346,17 +359,8 @@ class OracleBundle:
     def _log(self, kind: str, inp: dict, out: dict | None) -> None:
         if self.transcript is not None:
             self.transcript.append(
-                {
-                    "kind": kind,
-                    "input": inp,
-                    "output": out,
-                    "ledger": self.ledger.snapshot(),
-                }
+                event(kind, self.ledger, input=inp, output=out)
             )
-
-
-def transcript_to_jsonl(transcript: list[dict]) -> str:
-    return "\n".join(json.dumps(rec, sort_keys=True) for rec in transcript)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ consistent with the target.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,12 +26,10 @@ from .hypotheses import (
     as_arrays,
     predict_batch,
 )
-from .oracles import OracleBundle, QueryLedger, sal_batch
+from .oracles import OracleBundle, QueryLedger, event, sal_batch
 
 __all__ = [
     "CalResult",
-    "LarchTraceRow",
-    "SeabelTraceRow",
     "run_binary_search_demo",
     "run_cal",
     "run_larch",
@@ -140,26 +138,12 @@ def run_cal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LarchTraceRow:
-    i: int
-    k: int
-    ell: int
-    search_result: str  # "bot" | "counterexample" | "return"
-    dis_mass: float
-    exact_error: float
-    ledger: dict
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-
 def run_larch(
     seq: NestedClassSequence,
     bundle: OracleBundle,
     epsilon: float,
     delta: float,
-) -> tuple[Hypothesis, QueryLedger, list[LarchTraceRow]]:
+) -> tuple[Hypothesis, QueryLedger, list[SimpleNamespace]]:
     """Alternate one SEARCH query with a CAL pass at the current accuracy.
 
     State: consistency constraints S (SEARCH counterexamples plus CAL
@@ -174,7 +158,7 @@ def run_larch(
     s: list[LabeledExample] = []
     k = 0
     ell = 0
-    trace: list[LarchTraceRow] = []
+    trace: list[SimpleNamespace] = []
     max_iters = seq.K_max + int(math.ceil(math.log2(1.0 / epsilon))) + 3
     for i in range(1, max_iters + 1):
         vs = seq.version_space(k, s)
@@ -209,30 +193,20 @@ def run_larch(
     )
 
 
-def _larch_row(i, k, ell, outcome, vs, h, bundle) -> LarchTraceRow:
+def _larch_row(i, k, ell, outcome, vs, h, bundle) -> SimpleNamespace:
+    """A "larch" record; ``search_result`` is "bot", "counterexample" or
+    "return"."""
     mass = 0.0 if vs.is_empty() else vs.dis_region().mass
     err = math.nan if h is None else bundle.exact_error(h)
-    return LarchTraceRow(i, k, ell, outcome, mass, err, bundle.ledger.snapshot())
+    return event(
+        "larch", bundle.ledger, i=i, k=k, ell=ell, search_result=outcome,
+        dis_mass=mass, exact_error=err,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Eager nested-class learner (SEARCH until None, then selective sampling)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SeabelTraceRow:
-    i: int
-    k: int
-    sigma_value: float
-    search_calls: int
-    counterexamples: int
-    dis_mass: float
-    exact_error: float
-    ledger: dict
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 def run_seabel(
@@ -241,7 +215,7 @@ def run_seabel(
     epsilon: float,
     delta: float,
     strict: bool = False,
-) -> tuple[Hypothesis, QueryLedger, list[SeabelTraceRow]]:
+) -> tuple[Hypothesis, QueryLedger, list[SimpleNamespace]]:
     """Each iteration first *verifies*: SEARCH is called repeatedly,
     advancing k past every counterexample until None certifies that the
     version space's agreement region matches the target. Then it *samples*:
@@ -260,7 +234,7 @@ def run_seabel(
     k_prev = 0
     first = bundle.draw(2)
     t_cur = first, bundle.label_query_batch(first)
-    trace: list[SeabelTraceRow] = []
+    trace: list[SimpleNamespace] = []
     i = 0
     while True:
         i += 1
@@ -284,15 +258,10 @@ def run_seabel(
         sigma_value = sigma(seq.d(k), 2**i, delta_schedule(delta, i, k))
         h = vs.canonical_member()
         trace.append(
-            SeabelTraceRow(
-                i,
-                k,
-                sigma_value,
-                calls,
-                cexs,
-                vs.dis_region().mass,
-                bundle.exact_error(h),
-                bundle.ledger.snapshot(),
+            event(
+                "seabel", bundle.ledger, i=i, k=k, sigma_value=sigma_value,
+                search_calls=calls, counterexamples=cexs,
+                dis_mass=vs.dis_region().mass, exact_error=bundle.exact_error(h),
             )
         )
         if sigma_value <= epsilon:

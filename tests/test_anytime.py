@@ -14,7 +14,6 @@ from oraclelab.anytime import (
     AalarchDiagnostics,
     error_at_cost,
     error_check,
-    favorable_bias_holds,
     favorable_bias_violations,
     _CountTracker,
     prune_version_space,
@@ -33,7 +32,7 @@ from oraclelab.hypotheses import (
     as_arrays,
     predict_batch,
 )
-from oraclelab.oracles import NoiseModel, OracleBundle
+from oraclelab.oracles import NoiseModel, OracleBundle, events_to_jsonl
 
 import gridref
 
@@ -232,8 +231,9 @@ class TestRunAalarch:
     def test_cost_accounting_every_row(self):
         _, _, res = self.run_one(0)
         for row in res.timeline:
-            assert row.cost == pytest.approx(
-                row.label_queries + res.ledger.tau * row.search_queries
+            led = row.ledger
+            assert led["cost"] == pytest.approx(
+                led["label_queries"] + res.ledger.tau * led["search_queries"]
             )
 
     def test_k_bounded_and_unverified_bounded(self):
@@ -261,9 +261,10 @@ class TestRunAalarch:
 
     def test_favorable_bias_on_every_verified_prefix(self):
         b, _, res = self.run_one(1, cost_cap=600.0)
-        classes = self.seq.classes
-        for p in range(1, res.verified_size + 1):
-            assert favorable_bias_holds(res.working, classes, b.target, prefix=p)
+        top = self.seq.classes[self.seq.K_max]
+        assert favorable_bias_violations(
+            res.working, top, b.target, res.verified_size
+        ) == 0
 
     def test_errh_envelope_at_verified_steps(self):
         ok = 0
@@ -295,7 +296,7 @@ class TestRunAalarch:
 
     def test_error_at_cost_lookup(self):
         _, _, res = self.run_one(0)
-        c = res.timeline[-1].cost
+        c = res.timeline[-1].ledger["cost"]
         e = error_at_cost(res.timeline, c)
         assert not math.isnan(e)
         assert math.isnan(error_at_cost(res.timeline, -1.0))
@@ -350,7 +351,7 @@ def run_record(res) -> dict:
     )
     return {
         "timeline": timeline_to_csv(res.timeline),
-        "trace": [r.to_json() for r in res.trace],
+        "trace": events_to_jsonl(res.trace).splitlines(),
         "working_size": len(res.working),
         "working_sha256": hashlib.sha256(working.encode()).hexdigest(),
         "final_k": res.final_k,

@@ -23,9 +23,9 @@ from oraclelab.oracles import (
     OracleBundle,
     RcnGamma,
     SearchSoundnessError,
+    events_to_jsonl,
     sal_batch,
     sal_step,
-    transcript_to_jsonl,
 )
 
 
@@ -296,7 +296,7 @@ class TestDeterminism:
                 col.tolist()
                 for col in (batch.xs, batch.ys, batch.queried, batch.shadow_ys)
             ]
-            return transcript_to_jsonl(t), b.ledger.snapshot(), recs
+            return events_to_jsonl(t), b.ledger.snapshot(), recs
 
         assert run(123) == run(123)
         assert run(123)[2] != run(124)[2]
