@@ -205,14 +205,16 @@ class AalarchDiagnostics:
     ) -> "AalarchDiagnostics":
         assert seq.classes is not None
         top = seq.classes[seq.K_max]
-        eta = bundle.noise.nu
-        delta_mass = top.distances_from(bundle.target)
-        if bundle.noise.kind == "rcn":
-            errors = eta + (1.0 - 2.0 * eta) * delta_mass
+        if bundle.noise.kind == "pointwise":
+            # OracleBundle.exact_error's sum over table pieces, for every
+            # member at once
+            errors = np.zeros(len(top))
+            for lo, hi, p in sorted(bundle.noise.table):
+                inside = top.distances_from(bundle.target, lo, hi)
+                errors += p * (hi - lo - inside) + (1.0 - p) * inside
         else:
-            errors = np.array(
-                [bundle.exact_error(top.hypothesis(j)) for j in range(len(top))]
-            )
+            eta = bundle.noise.nu  # 0 when realizable
+            errors = eta + (1.0 - 2.0 * eta) * top.distances_from(bundle.target)
         hstar_index = top.index_of(bundle.target)
         if hstar_index is not None:
             # classes are prefix-nested: the least class holding the target
@@ -223,7 +225,7 @@ class AalarchDiagnostics:
             )
         else:
             kstar = len(getattr(bundle.target, "intervals", ())) or seq.K_max
-        return cls(np.asarray(errors, dtype=np.float64), hstar_index, kstar)
+        return cls(errors, hstar_index, kstar)
 
 
 @dataclass

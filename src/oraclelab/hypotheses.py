@@ -80,15 +80,7 @@ class IntervalUnion:
             prev_hi = hi
 
 
-@dataclass(frozen=True)
-class Indexed:
-    """Reference to a member of an enumerated class."""
-
-    class_id: str
-    index: int
-
-
-Hypothesis = Union[Threshold, IntervalUnion, Indexed]
+Hypothesis = Union[Threshold, IntervalUnion]
 
 ALWAYS_NEGATIVE = IntervalUnion(())
 
@@ -96,9 +88,7 @@ ALWAYS_NEGATIVE = IntervalUnion(())
 def positive_segments(h: Hypothesis) -> tuple[tuple[float, float], ...]:
     if isinstance(h, Threshold):
         return ((h.w, 1.0),)
-    if isinstance(h, IntervalUnion):
-        return h.intervals
-    raise TypeError(f"cannot take segments of {type(h).__name__}; resolve it first")
+    return h.intervals
 
 
 def predict(h: Hypothesis, x: float) -> int:
@@ -117,10 +107,6 @@ def predict_batch(h: Hypothesis, xs: np.ndarray) -> np.ndarray:
     for lo, hi in positive_segments(h):
         out |= (xs >= lo) & (xs <= hi)
     return np.where(out, POS, NEG).astype(np.int8)
-
-
-def positive_mass(h: Hypothesis) -> float:
-    return float(sum(hi - lo for lo, hi in positive_segments(h)))
 
 
 def ball_radius_pair_distance(h: Hypothesis, h2: Hypothesis) -> float:
@@ -309,12 +295,6 @@ def positive_run_count(examples: Examples) -> int | None:
     return _count_runs(ys)
 
 
-def is_realizable_by_k_intervals(examples: Examples, k: int) -> bool:
-    """True iff some union of <= k closed intervals fits every example."""
-    runs = positive_run_count(examples)
-    return runs is not None and runs <= k
-
-
 class IntervalVersionSpace:
     """H_k(S): unions of at most k closed intervals consistent with S."""
 
@@ -360,15 +340,6 @@ class IntervalVersionSpace:
         right_pos = gap_index < len(self.xs) and self.ys[gap_index] == POS
         d_pos, d_neg = self._gap_deltas(left_pos, right_pos)
         return runs + d_pos <= self.k, runs + d_neg <= self.k
-
-    def contains(self, h: Hypothesis) -> bool:
-        """Membership: at most k intervals and consistent with every
-        constraint."""
-        if self.is_empty():
-            return False
-        if len(positive_segments(h)) > self.k:
-            return False
-        return bool(np.array_equal(predict_batch(h, self.xs), self.ys))
 
     def dis_contains(self, x: float) -> bool:
         if self.is_empty():
@@ -425,16 +396,6 @@ class IntervalVersionSpace:
             tuple(zip(self.xs[starts].tolist(), self.xs[ends].tolist()))
         )
 
-    def erm(self, sample: Examples) -> IntervalUnion:
-        """Exact backend supports only the consistent case (error 0)."""
-        refined = self.with_examples(sample)
-        if refined.is_empty():
-            raise EmptyVersionSpaceError(
-                "no member of the exact version space fits the sample; "
-                "use the enumerated backend for agnostic ERM"
-            )
-        return refined.canonical_member()
-
 
 def _run_bounds(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the first and the last point of each maximal run of +1
@@ -488,13 +449,6 @@ class ThresholdVersionSpace:
             lo, lo_closed = float(neg.max()), False
         return ThresholdVersionSpace(lo, hi, lo_closed, hi_closed)
 
-    def contains(self, h: Hypothesis) -> bool:
-        if self.is_empty() or not isinstance(h, Threshold):
-            return False
-        above = (h.w >= self.lo) if self.lo_closed else (h.w > self.lo)
-        below = (h.w <= self.hi) if self.hi_closed else (h.w < self.hi)
-        return above and below
-
     def dis_contains(self, x: float) -> bool:
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space has no DIS")
@@ -537,35 +491,25 @@ class ThresholdVersionSpace:
         # minimal positive set: the largest surviving threshold
         return Threshold(self.hi if self.hi_closed else np.nextafter(self.hi, 0.0))
 
-    def erm(self, sample: Examples) -> Threshold:
-        refined = self.with_examples(sample)
-        if refined.is_empty():
-            raise EmptyVersionSpaceError("no consistent threshold for the sample")
-        return refined.canonical_member()
-
 
 # ---------------------------------------------------------------------------
 # Enumerated backend
 # ---------------------------------------------------------------------------
 
-_EMPTY_SLOT = 1.5  # sentinel endpoint outside [0,1]: empty interval slot
-
 
 class EnumeratedClass:
-    """Finite hypothesis class stored as an (n, slots, 2) endpoint array.
+    """Finite hypothesis class whose members are unions of closed
+    intervals with endpoints on a sorted ``grid`` in [0,1].
 
-    Unused interval slots hold the out-of-range sentinel and come after
-    the real ones, which are sorted and disjoint as in ``IntervalUnion``.
-    ``kind`` only decides how a member materializes (Threshold vs
-    IntervalUnion).
-
-    Evaluation runs on cell codes. The sorted distinct real endpoints
-    ``cuts`` (for a ``prefix`` class, those of the class it was cut from)
-    split the line into 2*len(cuts)+1 cells: code 2j+1 is the
-    point cuts[j], code 2j the open gap just below it, and code
-    2*len(cuts) everything above the last cut. Every member predicts one
-    label per cell, so a slot [cuts[a], cuts[b]] is the code range
-    2a+1..2b+1 and an empty slot the empty range 0..-1.
+    The grid splits the line into 2*len(grid)+1 cells: code 2j+1 is the
+    point grid[j], code 2j the open gap just below it, and code
+    2*len(grid) everything above the last grid point. Every member
+    predicts one label per cell, and it is stored only as per-slot code
+    ranges ``lo``/``hi`` of shape (members, slots): a slot
+    [grid[a], grid[b]] is the range 2a+1..2b+1 and an unused slot the
+    empty range 0..-1. Real slots are sorted and disjoint as in
+    ``IntervalUnion`` and come before the unused ones. ``kind`` only
+    decides how a member materializes (Threshold vs IntervalUnion).
     """
 
     def __init__(
@@ -573,31 +517,32 @@ class EnumeratedClass:
         class_id: str,
         k: int,
         vc_dim: int,
-        bounds: np.ndarray,
+        grid: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
         kind: str = "intervals",
-        grid: np.ndarray | None = None,
     ):
         self.class_id = class_id
         self.k = k
         self.vc_dim = vc_dim
-        self.bounds = bounds
-        self.kind = kind
         self.grid = grid
-        ends = np.unique(bounds)
-        self.cuts = ends[ends <= 1.0]
-        # cuts plus +inf: defined at every index searchsorted can return
-        self._probe = np.append(self.cuts, np.inf)
+        self.kind = kind
+        # grid plus +inf: defined at every index searchsorted can return
+        self._probe = np.append(grid, np.inf)
         self._probe_list = self._probe.tolist()
-        self._n_codes = n_codes = 2 * len(self.cuts) + 1
-        lo = 2 * np.searchsorted(self.cuts, bounds[:, :, 0]) + 1
-        hi = 2 * np.searchsorted(self.cuts, bounds[:, :, 1]) + 1
-        real = lo < n_codes  # an endpoint past 1 codes past the last cell
-        self._lo = np.where(real, lo, 0)
-        self._hi = np.where(real, hi, -1)
+        self._n_codes = n_codes = 2 * len(grid) + 1
+        self._lo, self._hi = lo, hi
+        real = lo > 0
+        ranges_ok = np.where(
+            real,
+            (lo % 2 == 1) & (hi % 2 == 1) & (lo <= hi) & (hi < n_codes),
+            (lo == 0) & (hi == -1),
+        )
         ordered = real[:, :-1] & (lo[:, 1:] > hi[:, :-1])
         if not (
-            np.all(self.cuts[:1] >= 0.0)
-            and np.all(~real | ((lo <= hi) & (hi < n_codes)))
+            np.all(grid[1:] > grid[:-1])
+            and np.all((grid >= 0.0) & (grid <= 1.0))
+            and np.all(ranges_ok)
             and np.all(~real[:, 1:] | ordered)
         ):
             raise ValueError(
@@ -607,46 +552,42 @@ class EnumeratedClass:
         self._table: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return self.bounds.shape[0]
+        return len(self._lo)
 
     def prefix(
         self, n: int, class_id: str, k: int, vc_dim: int
     ) -> "EnumeratedClass":
         """The first n members as a class of their own. It keeps this
-        class's cuts, so its codes are slices of these."""
+        class's grid, so its codes are slices of these."""
         sub = copy.copy(self)
         sub.class_id, sub.k, sub.vc_dim = class_id, k, vc_dim
-        sub.bounds, sub._lo, sub._hi = self.bounds[:n], self._lo[:n], self._hi[:n]
+        sub._lo, sub._hi = self._lo[:n], self._hi[:n]
         sub._table = None
         return sub
 
     def hypothesis(self, index: int) -> Hypothesis:
-        row = self.bounds[index]
-        real = row[row[:, 0] <= 1.0]
+        lo, hi = self._lo[index], self._hi[index]
+        real = lo > 0
+        starts = self.grid[(lo[real] - 1) // 2].tolist()
         if self.kind == "thresholds":
-            return Threshold(float(real[0, 0]))
-        return IntervalUnion(tuple((float(lo), float(hi)) for lo, hi in real))
-
-    def resolve(self, ref: Indexed) -> Hypothesis:
-        if ref.class_id != self.class_id:
-            raise KeyError(
-                f"reference to {ref.class_id!r} cannot resolve in "
-                f"{self.class_id!r}"
-            )
-        return self.hypothesis(ref.index)
+            return Threshold(starts[0])
+        ends = self.grid[(hi[real] - 1) // 2].tolist()
+        return IntervalUnion(tuple(zip(starts, ends)))
 
     def index_of(self, h: Hypothesis) -> int | None:
         """Canonical index of an exact member, or None."""
-        if isinstance(h, Indexed):
-            return h.index if h.class_id == self.class_id else None
         if isinstance(h, Threshold) != (self.kind == "thresholds"):
             return None
-        segs = positive_segments(h)
-        row = np.full(self.bounds.shape[1:], _EMPTY_SLOT)
-        if len(segs) > len(row):
-            return None
-        row[: len(segs)] = np.reshape(segs, (-1, 2))
-        hits = np.flatnonzero((self.bounds == row).all(axis=(1, 2)))
+        ends = np.ravel(positive_segments(h))
+        slots = self._lo.shape[1]
+        at = np.searchsorted(self.grid, ends)
+        if len(ends) > 2 * slots or np.any(self._probe[at] != ends):
+            return None  # more intervals than slots, or an endpoint off the grid
+        n = len(ends) // 2
+        lo, hi = np.zeros(slots, dtype=np.intp), np.full(slots, -1, dtype=np.intp)
+        lo[:n], hi[:n] = 2 * at[0::2] + 1, 2 * at[1::2] + 1
+        same = (self._lo == lo).all(axis=1) & (self._hi == hi).all(axis=1)
+        hits = np.flatnonzero(same)
         return int(hits[0]) if len(hits) else None
 
     def codes(self, xs) -> np.ndarray:
@@ -654,7 +595,7 @@ class EnumeratedClass:
         if isinstance(xs, float):  # one point: bisect skips numpy's call overhead
             j = bisect.bisect_left(self._probe_list, xs)
             return 2 * j + (self._probe_list[j] == xs)
-        j = np.searchsorted(self.cuts, xs)
+        j = np.searchsorted(self.grid, xs)
         return 2 * j + (self._probe[j] == xs)
 
     def rows(self, xs) -> np.ndarray:
@@ -664,7 +605,7 @@ class EnumeratedClass:
         if self._table is None:
             c = np.arange(self._n_codes)[:, None]
             table = np.zeros((len(c), len(self)), dtype=bool)
-            for s in range(self.bounds.shape[1]):
+            for s in range(self._lo.shape[1]):
                 table |= (c >= self._lo[:, s]) & (c <= self._hi[:, s])
             self._table = table
         return self._table[self.codes(xs)]
@@ -703,19 +644,27 @@ class EnumeratedClass:
             return np.ones(len(self), dtype=bool)
         return self.err_counts(xs, ys) == 0
 
-    def distances_from(self, h: Hypothesis) -> np.ndarray:
-        """Exact symmetric-difference measure from h to every member."""
-        segs = positive_segments(h)
-        b = self.bounds
-        lengths = np.clip(b[:, :, 1] - b[:, :, 0], 0.0, None)
-        mass_members = np.where(b[:, :, 0] <= 1.0, lengths, 0.0).sum(axis=1)
-        mass_h = positive_mass(h)
+    def distances_from(
+        self, h: Hypothesis, lo: float = 0.0, hi: float = 1.0
+    ) -> np.ndarray:
+        """Exact measure of the symmetric difference between h and every
+        member inside [lo, hi] (by default all of [0,1])."""
+        # an unused slot (codes 0..-1) reads +inf at both ends: it clips
+        # to an empty piece
+        a = self._probe[(self._lo - 1) // 2]
+        b = self._probe[(self._hi - 1) // 2]
+
+        def member_mass(s: float, t: float) -> np.ndarray:
+            """Mass of every member inside [s, t]."""
+            return np.clip(np.minimum(b, t) - np.maximum(a, s), 0.0, None).sum(axis=1)
+
+        mass_h = 0.0
         overlap = np.zeros(len(self))
-        for lo, hi in segs:
-            cut_lo = np.maximum(b[:, :, 0], lo)
-            cut_hi = np.minimum(b[:, :, 1], hi)
-            overlap += np.clip(cut_hi - cut_lo, 0.0, None).sum(axis=1)
-        return mass_h + mass_members - 2.0 * overlap
+        for s, t in positive_segments(h):
+            s, t = max(s, lo), min(t, hi)
+            mass_h += max(t - s, 0.0)
+            overlap += member_mass(s, t)
+        return mass_h + member_mass(lo, hi) - 2.0 * overlap
 
 
 class MaskedVersionSpace:
@@ -745,10 +694,6 @@ class MaskedVersionSpace:
     def replace_mask(self, mask: np.ndarray) -> "MaskedVersionSpace":
         return MaskedVersionSpace(self.cls, mask)
 
-    def contains(self, h: Hypothesis) -> bool:
-        idx = self.cls.index_of(h)
-        return idx is not None and bool(self.mask[idx])
-
     def with_examples(self, extra: Examples) -> "MaskedVersionSpace":
         return self.replace_mask(self.mask & self.cls.consistent_mask(extra))
 
@@ -759,9 +704,9 @@ class MaskedVersionSpace:
         ends = np.concatenate(
             [np.compress(self.mask, c, axis=0) for c in (cls._lo, cls._hi)], axis=None
         )
-        used = np.zeros(len(cls.cuts), dtype=bool)
+        used = np.zeros(len(cls.grid), dtype=bool)
         used[(ends[ends > 0] - 1) // 2] = True  # real codes are 2j+1
-        return np.unique(np.concatenate(([0.0, 1.0], cls.cuts[used])))
+        return np.unique(np.concatenate(([0.0, 1.0], cls.grid[used])))
 
     def _verdicts(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per point: (in DIS, unanimous survivor label or 0)."""
@@ -809,12 +754,9 @@ class MaskedVersionSpace:
             raise EmptyVersionSpaceError("empty version space")
         return self.cls.hypothesis(int(self.survivor_indices()[0]))
 
-    def erm(self, sample: Examples) -> Hypothesis:
-        """Empirical risk minimizer; ties go to the lowest canonical index."""
-        idx, _ = self.erm_index(sample)
-        return self.cls.hypothesis(idx)
-
     def erm_index(self, sample: Examples) -> tuple[int, int]:
+        """(index, error count) of the empirical risk minimizer among the
+        survivors; ties go to the lowest canonical index."""
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space")
         xs, ys = as_arrays(sample)
@@ -870,14 +812,12 @@ class NestedClassSequence:
         grid = np.linspace(0.0, 1.0, resolution)
         dims = {k: (0 if k == 0 else 2 * k) for k in range(K_max + 1)}
         slots = max(K_max, 1)
-        blocks = [np.full((1, slots, 2), _EMPTY_SLOT)] + [
-            _exact_k_interval_rows(grid, k, slots) for k in range(1, K_max + 1)
+        blocks = [
+            _exact_k_interval_rows(resolution, k, slots) for k in range(K_max + 1)
         ]
-        top = EnumeratedClass(
-            f"intervals_k{K_max}", K_max, dims[K_max], np.concatenate(blocks),
-            "intervals", grid,
-        )
-        sizes = np.cumsum([len(b) for b in blocks])
+        lo, hi = np.concatenate(blocks, axis=1)
+        top = EnumeratedClass(f"intervals_k{K_max}", K_max, dims[K_max], grid, lo, hi)
+        sizes = np.cumsum([b.shape[1] for b in blocks])
         classes = [
             top.prefix(int(sizes[k]), f"intervals_k{k}", k, dims[k])
             for k in range(K_max)
@@ -887,12 +827,14 @@ class NestedClassSequence:
     @classmethod
     def threshold_grid(cls, resolution: int = 201) -> EnumeratedClass:
         """Standalone finite threshold class (not part of a sequence)."""
+        if resolution < 2:
+            raise ValueError("a threshold grid needs the points 0 and 1")
         grid = np.linspace(0.0, 1.0, resolution)
-        bounds = np.full((resolution, 1, 2), _EMPTY_SLOT)
-        bounds[:, 0, 0] = grid
-        bounds[:, 0, 1] = 1.0
+        # threshold grid[a] is the slot [grid[a], 1]: codes 2a+1..2r-1
+        lo = 2 * np.arange(resolution).reshape(-1, 1) + 1
+        hi = np.full_like(lo, 2 * resolution - 1)
         return EnumeratedClass(
-            f"thresholds_r{resolution}", 1, 1, bounds, "thresholds", grid
+            f"thresholds_r{resolution}", 1, 1, grid, lo, hi, "thresholds"
         )
 
     def d(self, k: int) -> int:
@@ -907,12 +849,6 @@ class NestedClassSequence:
         cls_k = self.classes[k]
         return MaskedVersionSpace(cls_k, cls_k.consistent_mask(examples))
 
-    def is_realizable(self, k: int, examples: Examples) -> bool:
-        if self.backend == "exact-intervals":
-            return is_realizable_by_k_intervals(examples, k)
-        assert self.classes is not None
-        return bool(self.classes[k].consistent_mask(examples).any())
-
     def min_consistent_index(self, examples: Examples, k_lo: int = 0) -> int:
         exs = as_arrays(examples)
         if self.backend == "exact-intervals":
@@ -924,31 +860,33 @@ class NestedClassSequence:
             raise ExhaustionError(
                 f"no consistent class at any k in [{k_lo}, {self.K_max}]"
             )
+        assert self.classes is not None
         for k in range(k_lo, self.K_max + 1):
-            if self.is_realizable(k, exs):
+            if self.classes[k].consistent_mask(exs).any():
                 return k
         raise ExhaustionError(
             f"no consistent class at any k in [{k_lo}, {self.K_max}]"
         )
 
 
-def _exact_k_interval_rows(grid: np.ndarray, k: int, slots: int) -> np.ndarray:
-    """All unions of exactly k disjoint nonempty closed grid intervals, in
-    lexicographic order of their endpoint indices.
+def _exact_k_interval_rows(r: int, k: int, slots: int) -> np.ndarray:
+    """All unions of exactly k disjoint nonempty closed intervals on a grid
+    of r points (for k = 0, the one empty union), in lexicographic order
+    of their endpoint indices, as a (2, n, slots) stack of slot code
+    ranges (``lo``, then ``hi``; see ``EnumeratedClass``).
 
     Indices a1 <= b1 < a2 <= b2 < ... <= bk in range(r) map one to one,
     order preserving, onto the strictly increasing 2k-tuples
     (a1, b1+1, a2+1, b2+2, ..., bk+k) in range(r+k): the 2k-combinations,
     which itertools emits in lexicographic order.
     """
-    n = math.comb(len(grid) + k, 2 * k)
-    flat = itertools.chain.from_iterable(
-        itertools.combinations(range(len(grid) + k), 2 * k)
-    )
+    n = math.comb(r + k, 2 * k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(r + k), 2 * k))
     shifted = np.fromiter(flat, dtype=np.intp, count=2 * k * n).reshape(n, 2 * k)
-    ends = shifted - (np.arange(2 * k) + 1) // 2
-    out = np.full((n, slots, 2), _EMPTY_SLOT)
-    out[:, :k] = grid[ends].reshape(n, k, 2)
+    codes = 2 * (shifted - (np.arange(2 * k) + 1) // 2) + 1
+    out = np.empty((2, n, slots), dtype=np.intp)
+    out[0], out[1] = 0, -1  # unused slots: the empty range 0..-1
+    out[0, :, :k], out[1, :, :k] = codes[:, 0::2], codes[:, 1::2]
     return out
 
 
@@ -999,9 +937,7 @@ def disagreement_coefficient_estimate(
 def hypothesis_to_json(h: Hypothesis) -> dict:
     if isinstance(h, Threshold):
         return {"type": "threshold", "w": h.w}
-    if isinstance(h, IntervalUnion):
-        return {"type": "interval_union", "intervals": [list(p) for p in h.intervals]}
-    return {"type": "indexed", "class_id": h.class_id, "index": h.index}
+    return {"type": "interval_union", "intervals": [list(p) for p in h.intervals]}
 
 
 def hypothesis_from_json(obj: dict) -> Hypothesis:
@@ -1010,14 +946,4 @@ def hypothesis_from_json(obj: dict) -> Hypothesis:
         return Threshold(float(obj["w"]))
     if t == "interval_union":
         return IntervalUnion(tuple((float(a), float(b)) for a, b in obj["intervals"]))
-    if t == "indexed":
-        return Indexed(obj["class_id"], int(obj["index"]))
     raise ValueError(f"unknown hypothesis type {t!r}")
-
-
-def examples_to_json(examples: Iterable[tuple[float, int]]) -> list[dict]:
-    return [{"x": float(x), "y": int(y)} for x, y in examples]
-
-
-def examples_from_json(items: Iterable[dict]) -> list[LabeledExample]:
-    return [LabeledExample(float(o["x"]), int(o["y"])) for o in items]

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from oraclelab.hypotheses import IntervalUnion, Threshold, predict
+from oraclelab.hypotheses import EnumeratedClass, IntervalUnion, Threshold, predict
 
 
 def grid_interval_hypotheses(k_max: int, resolution: int) -> list[IntervalUnion]:
@@ -100,3 +100,22 @@ def sup_interval_error(examples, target) -> float:
     left = max(abs(l_min - a_star), abs(p_lo - a_star))
     right = max(abs(r_max - b_star), abs(p_hi - b_star))
     return left + right
+
+
+def codes_of_bounds(bounds: np.ndarray):
+    """(cuts, lo, hi) of an (n, slots, 2) float endpoint tensor whose
+    unused slots hold an endpoint above 1: the cuts are the sorted distinct
+    real endpoints, and each real slot's code range is found by searching
+    them for its two endpoints."""
+    ends = np.unique(bounds)
+    cuts = ends[ends <= 1.0]
+    real = bounds[:, :, 0] <= 1.0
+    lo = np.where(real, 2 * np.searchsorted(cuts, bounds[:, :, 0]) + 1, 0)
+    hi = np.where(real, 2 * np.searchsorted(cuts, bounds[:, :, 1]) + 1, -1)
+    return cuts, lo, hi
+
+
+def enumerated_class(class_id, k, vc_dim, bounds, kind="intervals"):
+    """The EnumeratedClass whose members are the rows of ``bounds`` (see
+    ``codes_of_bounds``), on the grid of their own cuts."""
+    return EnumeratedClass(class_id, k, vc_dim, *codes_of_bounds(bounds), kind)

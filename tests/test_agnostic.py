@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+import gridref
 from oraclelab.hypotheses import (
-    EnumeratedClass,
     IntervalUnion,
     MaskedVersionSpace,
     NestedClassSequence,
@@ -77,9 +77,7 @@ class TestRunAl:
             prev = m
 
     def test_singleton_realizable_success_without_labels(self):
-        bounds = np.full((1, 1, 2), 1.5)
-        bounds[0, 0] = (0.4, 0.6)
-        cls = EnumeratedClass("solo", 1, 2, bounds, "intervals")
+        cls = gridref.enumerated_class("solo", 1, 2, np.array([[[0.4, 0.6]]]))
         h = MaskedVersionSpace(cls)
         target = IntervalUnion(((0.4, 0.6),))
         b = OracleBundle(target, seed=0)
@@ -105,9 +103,7 @@ class TestRunAl:
     def test_labels_only_queried_inside_dis(self):
         # the sampler infers agreement labels: with a singleton class no
         # LABEL call ever happens even under heavy noise
-        bounds = np.full((1, 1, 2), 1.5)
-        bounds[0, 0] = (0.0, 1.0)
-        cls = EnumeratedClass("solo", 1, 2, bounds, "intervals")
+        cls = gridref.enumerated_class("solo", 1, 2, np.array([[[0.0, 1.0]]]))
         b = rcn_bundle(IntervalUnion(((0.0, 1.0),)), seed=2, eta=0.3)
         out = run_al(MaskedVersionSpace(cls), b, ConstantGamma(0.3), 0.2, 0.1)
         assert b.ledger.label_queries == 0

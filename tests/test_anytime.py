@@ -70,6 +70,28 @@ class TestTrueError:
         b = OracleBundle(Threshold(0.5), noise, seed=0)
         assert b.exact_error(Threshold(0.5)) == pytest.approx(0.25, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseModel("pointwise", table=((0.0, 0.5, 0.2), (0.5, 1.0, 0.4))),
+            NoiseModel(
+                "pointwise",
+                table=((0.35, 0.8, 0.3), (0.0, 0.35, 0.1), (0.8, 1.0, 0.05)),
+            ),
+            NoiseModel("rcn", eta=0.15),
+            NoiseModel(),
+        ],
+    )
+    def test_diagnostics_match_per_member_errors(self, noise):
+        seq = NestedClassSequence.enumerated_intervals(2, resolution=11)
+        top = seq.classes[2]
+        # one endpoint off the grid, one on it, and a one-point interval
+        target = IntervalUnion(((0.12, 0.5), (0.63, 0.63)))
+        b = OracleBundle(target, noise, seed=0)
+        diag = AalarchDiagnostics.for_run(seq, b)
+        want = [b.exact_error(top.hypothesis(j)) for j in range(len(top))]
+        np.testing.assert_allclose(diag.exact_errors, want, rtol=0, atol=1e-12)
+
 
 class TestUpgradeVersionSpace:
     def test_no_seed_moves_one_level(self):

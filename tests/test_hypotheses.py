@@ -9,22 +9,17 @@ from oraclelab.hypotheses import (
     ALWAYS_NEGATIVE,
     intersect_segments,
     EmptyVersionSpaceError,
-    EnumeratedClass,
     ExhaustionError,
     IntervalUnion,
     IntervalVersionSpace,
-    LabeledExample,
     MaskedVersionSpace,
     NestedClassSequence,
     Threshold,
     ThresholdVersionSpace,
     ball_radius_pair_distance,
     disagreement_coefficient_estimate,
-    examples_from_json,
-    examples_to_json,
     hypothesis_from_json,
     hypothesis_to_json,
-    is_realizable_by_k_intervals,
     positive_run_count,
     predict,
     predict_batch,
@@ -61,17 +56,21 @@ class TestPredict:
 
 
 class TestRealizability:
+    """A sample fits some union of <= k closed intervals iff its positive
+    runs number at most k."""
+
     def test_three_points(self):
-        assert not is_realizable_by_k_intervals(THREE_POINTS, 1)
-        assert is_realizable_by_k_intervals(THREE_POINTS, 2)
+        assert positive_run_count(THREE_POINTS) == 2
 
     def test_empty_set(self):
-        for k in (0, 1, 5):
-            assert is_realizable_by_k_intervals([], k)
+        assert positive_run_count([]) == 0
 
     def test_conflicting_duplicate_is_unrealizable(self):
         assert positive_run_count([(0.3, 1), (0.3, -1)]) is None
-        assert not is_realizable_by_k_intervals([(0.3, 1), (0.3, -1)], 5)
+        with pytest.raises(ExhaustionError):
+            NestedClassSequence.exact_intervals(5).min_consistent_index(
+                [(0.3, 1), (0.3, -1)]
+            )
 
     def test_against_grid_bruteforce(self):
         hyps1 = gridref.grid_interval_hypotheses(1, 101)
@@ -83,10 +82,11 @@ class TestRealizability:
             xs = rng.choice(grid[1:-1], size=n, replace=False)
             ys = rng.choice([-1, 1], size=n)
             s = list(zip(xs.tolist(), ys.tolist()))
-            assert is_realizable_by_k_intervals(s, 1) == bool(
+            runs = positive_run_count(s)
+            assert (runs is not None and runs <= 1) == bool(
                 gridref.survivors(hyps1, s)
             )
-            assert is_realizable_by_k_intervals(s, 2) == bool(
+            assert (runs is not None and runs <= 2) == bool(
                 gridref.survivors(hyps2, s)
             )
 
@@ -201,14 +201,16 @@ class TestIntervalVersionSpace:
         assert h == IntervalUnion(((0.1, 0.2), (0.7, 0.7)))
 
     def test_erm_consistent_case(self):
-        vs = IntervalVersionSpace(1, [])
-        h = vs.erm([(0.4, 1), (0.6, 1), (0.1, -1)])
+        # a zero-error fit is the canonical member of the refined space
+        vs = IntervalVersionSpace(1, []).with_examples([(0.4, 1), (0.6, 1), (0.1, -1)])
+        h = vs.canonical_member()
         assert predict(h, 0.4) == 1 and predict(h, 0.1) == -1
 
     def test_erm_inconsistent_raises(self):
-        vs = IntervalVersionSpace(0, [])
+        vs = IntervalVersionSpace(0, []).with_examples([(0.4, 1)])
+        assert vs.is_empty()
         with pytest.raises(EmptyVersionSpaceError):
-            vs.erm([(0.4, 1)])
+            vs.canonical_member()
 
     def test_against_grid_enumeration(self):
         hyps = gridref.grid_interval_hypotheses(1, 41)
@@ -253,24 +255,26 @@ class TestIntervalVersionSpace:
 
 class TestMaskedVersionSpace:
     def _threshold_class(self, ws):
-        bounds = np.full((len(ws), 1, 2), 1.5)
+        bounds = np.full((len(ws), 1, 2), 1.0)
         bounds[:, 0, 0] = ws
-        bounds[:, 0, 1] = 1.0
-        return EnumeratedClass("t", 1, 1, np.array(bounds), "thresholds")
+        return gridref.enumerated_class("t", 1, 1, bounds, "thresholds")
 
     def test_erm_counts(self):
         cls = self._threshold_class([0.25, 0.5, 0.75])
         vs = MaskedVersionSpace(cls)
         sample = [(0.3, 1), (0.6, 1), (0.1, -1)]
-        h = vs.erm(sample)
-        assert h == Threshold(0.25)
+        idx, errs = vs.erm_index(sample)
+        assert (idx, errs) == (0, 0) and cls.hypothesis(idx) == Threshold(0.25)
         ref = gridref.ref_erm([cls.hypothesis(i) for i in range(3)], sample)
-        assert ref[1] == h and ref[2] == 0
+        assert (ref[0], ref[2]) == (idx, errs)
 
     def test_erm_tie_breaks_to_lowest_index(self):
         cls = self._threshold_class([0.2, 0.4, 0.9])
         vs = MaskedVersionSpace(cls)
-        assert vs.erm([]) == Threshold(0.2)
+        assert vs.erm_index([]) == (0, 0)
+        assert cls.hypothesis(0) == Threshold(0.2)
+        # all three predict +1 at 0.95, so each errs once on a negative there
+        assert vs.erm_index([(0.95, -1)]) == (0, 1)
 
     def test_erm_unique_perfect_fit_wins(self):
         cls = self._threshold_class([0.2, 0.4, 0.9])
@@ -409,7 +413,9 @@ class TestNestedSequence:
         seq = NestedClassSequence.enumerated_intervals(2, resolution=9)
         c1, c2 = seq.classes[1], seq.classes[2]
         assert len(c2) > len(c1)
-        assert np.array_equal(c2.bounds[: len(c1), : c1.bounds.shape[1]], c1.bounds)
+        assert [c2.hypothesis(i) for i in range(len(c1))] == [
+            c1.hypothesis(i) for i in range(len(c1))
+        ]
 
     def test_enumerated_counts(self):
         seq = NestedClassSequence.enumerated_intervals(1, resolution=21)
@@ -430,10 +436,6 @@ class TestJsonSchema:
             ALWAYS_NEGATIVE,
         ):
             assert hypothesis_from_json(hypothesis_to_json(h)) == h
-
-    def test_examples_roundtrip(self):
-        s = [LabeledExample(0.25, 1), LabeledExample(0.75, -1)]
-        assert examples_from_json(examples_to_json(s)) == s
 
 
 class TestPartitionConsistency:
@@ -492,7 +494,7 @@ class TestSegmentArithmetic:
     def test_symdiff_identity_against_masses(self):
         from hypothesis import given, settings
         from hypothesis import strategies as st
-        from oraclelab.hypotheses import positive_mass, segments_mass
+        from oraclelab.hypotheses import segments_mass
 
         @st.composite
         def union(draw):
@@ -520,7 +522,7 @@ class TestSegmentArithmetic:
             sym = symmetric_difference_segments(h1, h2)
             lhs = segments_mass(sym)
             rhs = (
-                positive_mass(h1) + positive_mass(h2)
+                segments_mass(h1.intervals) + segments_mass(h2.intervals)
                 - 2 * segments_mass(inter)
             )
             assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -535,35 +537,6 @@ class TestSegmentArithmetic:
         b = [(0.0, 0.2), (0.35, 0.6)]
         assert intersect_segments(a, b) == intersect_segments(b, a)
         assert intersect_segments(a, []) == []
-
-
-class TestMembership:
-    def test_interval_space_contains(self):
-        vs = IntervalVersionSpace(1, [(0.3, 1), (0.7, -1)])
-        assert vs.contains(IntervalUnion(((0.2, 0.5),)))
-        assert not vs.contains(IntervalUnion(((0.2, 0.75),)))  # covers 0.7
-        assert not vs.contains(IntervalUnion(((0.1, 0.2), (0.3, 0.4))))  # k>1
-        assert vs.contains(Threshold(0.25)) is False  # predicts +1 at 0.7
-
-    def test_threshold_space_contains(self):
-        vs = ThresholdVersionSpace.from_examples([(0.3, -1), (0.7, 1)])
-        assert vs.contains(Threshold(0.5))
-        assert vs.contains(Threshold(0.7))
-        assert not vs.contains(Threshold(0.3))  # lower end is open
-        assert not vs.contains(Threshold(0.9))
-
-    def test_masked_space_contains_and_resolve(self):
-        from oraclelab.hypotheses import Indexed
-
-        cls = NestedClassSequence.threshold_grid(11)
-        vs = MaskedVersionSpace(cls).with_examples([(0.45, -1)])
-        assert vs.contains(Threshold(0.5))
-        assert not vs.contains(Threshold(0.2))
-        ref = Indexed(cls.class_id, 5)
-        assert cls.resolve(ref) == Threshold(0.5)
-        assert vs.contains(ref)
-        with pytest.raises(KeyError):
-            cls.resolve(Indexed("other", 0))
 
 
 class TestBackendEquivalenceLarge:

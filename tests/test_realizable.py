@@ -25,6 +25,7 @@ from oraclelab.realizable import (
 )
 
 
+import gridref
 from gridref import sup_interval_error, sup_threshold_error
 
 
@@ -115,12 +116,10 @@ class TestCal:
         # two thresholds, both wrong on sizeable regions around the true
         # one: queried labels eliminate both; a legal empty outcome
         import numpy as np
-        from oraclelab.hypotheses import EnumeratedClass, MaskedVersionSpace
+        from oraclelab.hypotheses import MaskedVersionSpace
 
-        bounds = np.full((2, 1, 2), 1.5)
-        bounds[:, 0, 0] = [0.2, 0.8]
-        bounds[:, 0, 1] = 1.0
-        cls = EnumeratedClass("pair", 1, 1, bounds, "thresholds")
+        rows = np.array([[[0.2, 1.0]], [[0.8, 1.0]]])
+        cls = gridref.enumerated_class("pair", 1, 1, rows, "thresholds")
         v0 = MaskedVersionSpace(cls)
         # seed chosen so the first epoch straddles the true threshold and
         # eliminates both members at once
