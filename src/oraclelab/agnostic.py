@@ -73,8 +73,6 @@ def run_al(
     gamma: GammaOracle,
     epsilon: float,
     delta: float,
-    d: int | None = None,
-    watch_index: int | None = None,
 ) -> AlOutcome:
     """Inner agnostic loop over a finite hypothesis class.
 
@@ -83,7 +81,7 @@ def run_al(
     version space, prunes to the Bernstein ball
 
         err(h) <= err(hhat_i) + 3 sqrt(err(hhat_i) s) + 4 s,
-        s = sigma(d, 2^i, delta_i),
+        s = sigma(d, 2^i, delta_i),  d = VC dimension of h_class,
 
     then rejects if err(hhat_i) > gamma + sqrt(gamma s) + s and succeeds
     if err(hhat_i) + sqrt(err(hhat_i) s) + s <= gamma + epsilon, where
@@ -91,14 +89,13 @@ def run_al(
     Empirical errors are exact integer counts over the 2^i sample.
 
     Each epoch appends one "al-epoch" record; its ``outcome`` is
-    "continue", "early-reject" or "success". ``watch_index`` marks one
-    hypothesis whose survival and ERM status are recorded per epoch
-    (diagnostics only, never a decision input).
+    "continue", "early-reject" or "success". ``epoch_masks[j]`` is the
+    survivor mask epoch j + 1 pruned to, so whether a given member
+    survived an epoch can be read off it.
     """
     if h_class.is_empty():
         raise EmptyVersionSpaceError("input class must be nonempty")
-    if d is None:
-        d = h_class.vc_dim
+    d = h_class.vc_dim
     cap = _epoch_cap(d, bundle.noise.nu, epsilon, delta)
     vs = h_class
     trace: list[SimpleNamespace] = []
@@ -120,11 +117,7 @@ def run_al(
             "al-epoch", bundle.ledger, k=vs.k, i=i, empirical_error=b,
             gamma_prev=gamma_prev, sigma_value=s,
             survivors=int(new_mask.sum()), outcome="continue",
-            watch_survives=None, watch_is_erm=None,
         )
-        if watch_index is not None:
-            row.watch_survives = bool(new_mask[watch_index])
-            row.watch_is_erm = watch_index == hhat_index
         trace.append(row)
         masks.append(new_mask)
         hhat = vs.cls.hypothesis(hhat_index)
@@ -151,7 +144,6 @@ def run_alarch(
     gamma: GammaOracle,
     epsilon: float,
     delta: float,
-    watch_hypothesis: Hypothesis | None = None,
 ) -> tuple[Hypothesis, QueryLedger, list[SimpleNamespace], list[AlOutcome]]:
     """Structural-risk walk over the nested classes with SEARCH probes.
 
@@ -176,15 +168,7 @@ def run_alarch(
         delta_k = delta / ((k + 1) * (k + 2))
         h_class = seq.version_space(k, s)
         assert isinstance(h_class, MaskedVersionSpace)
-        watch_index = None
-        if watch_hypothesis is not None:
-            idx = h_class.cls.index_of(watch_hypothesis)
-            if idx is not None and h_class.mask[idx]:
-                watch_index = idx
-        outcome = run_al(
-            h_class, bundle, gamma, epsilon, delta_k,
-            d=seq.d(k), watch_index=watch_index,
-        )
+        outcome = run_al(h_class, bundle, gamma, epsilon, delta_k)
         outcomes.append(outcome)
         e, result = None, "skipped"
         if not outcome.rejected:

@@ -245,12 +245,13 @@ def run_aalarch(
     seq: NestedClassSequence,
     bundle: OracleBundle,
     delta: float,
-    tau: float,
     n_cap: int,
     cost_cap: float,
     diagnostics: AalarchDiagnostics | None = None,
 ) -> AalarchResult:
     """Run the anytime loop until the tau-weighted cost reaches cost_cap.
+    tau, the SEARCH-to-LABEL cost ratio, is the one the bundle's ledger
+    charges.
 
     One block: selective-sampling steps with per-step pruning until tau
     labels were bought or the working dataset reaches n_cap, with an error
@@ -267,13 +268,13 @@ def run_aalarch(
     record per restart or SEARCH; ``timeline`` gets one "timeline"
     record at the start and after every SEARCH.
     """
+    tau = bundle.ledger.tau
     if tau < 1.0:
         raise ValueError(f"cost ratio tau must be >= 1, got {tau}")
     if n_cap < 1:
         raise ValueError(f"dataset bound must be >= 1, got {n_cap}")
     if seq.backend != "enumerated":
         raise ValueError("the anytime learner needs the enumerated backend")
-    bundle.ledger.tau = tau
     tracker = _CountTracker(seq)
     k = 0
     s: list[LabeledExample] = []

@@ -33,22 +33,24 @@ from .hypotheses import (
     hypothesis_to_json,
     predict,
 )
-from .oracles import ConstantGamma, NoiseModel, OracleBundle, RcnGamma
+from .oracles import (SEARCH_POLICIES, ConstantGamma, NoiseModel,
+                      OracleBundle, RcnGamma)
 from .realizable import run_binary_search_demo, run_cal, run_larch, run_seabel
-
-ALGORITHMS = (
-    "binary-search-demo",
-    "cal",
-    "larch",
-    "seabel",
-    "al",
-    "alarch",
-    "aalarch",
-    "passive-baseline",
-)
 
 FAMILIES = ("intervals-exact", "intervals-enumerated", "thresholds-exact",
             "thresholds-grid")
+
+# each algorithm and the families it runs on: the nested-class learners
+# need a sequence (only the interval families define one), the agnostic
+# and anytime learners an explicit finite class
+INTERVALS = ("intervals-exact", "intervals-enumerated")
+ALGORITHMS = {
+    "binary-search-demo": FAMILIES, "cal": FAMILIES,
+    "larch": INTERVALS, "seabel": INTERVALS,
+    "al": ("intervals-enumerated", "thresholds-grid"),
+    "alarch": ("intervals-enumerated",), "aalarch": ("intervals-enumerated",),
+    "passive-baseline": FAMILIES,
+}
 
 GAMMAS = ("constant-nu", "rcn-exact", "zero")
 
@@ -113,32 +115,46 @@ class ExperimentConfig:
         for name in ("delta", "tau", "cost_cap"):
             want(name, "a number", is_num(getattr(self, name)))
         for name, ok, what in (
-            ("epsilons", is_num, "numbers"), ("seeds", is_int, "integers"),
+            ("epsilons", is_num, "numbers"),
+            ("seeds", lambda v: is_int(v) and v >= 0, "integers >= 0"),
         ):
             v = getattr(self, name)
             want(name, f"a list of {what}",
                  isinstance(v, (list, tuple)) and all(ok(e) for e in v))
         for name in ("target", "noise"):
             want(name, "an object", isinstance(getattr(self, name), dict))
-        want("seed_examples", "a list",
-             isinstance(self.seed_examples, (list, tuple)))
+        want("seed_examples", "a list of [x, +1 or -1] pairs",
+             isinstance(self.seed_examples, (list, tuple)) and all(
+                 isinstance(e, (list, tuple)) and len(e) == 2
+                 and is_num(e[0]) and e[1] in (1, -1)
+                 for e in self.seed_examples))
         want("validate_search", "true or false",
              isinstance(self.validate_search, bool))
         want("output", "a path or null",
              self.output is None or isinstance(self.output, str))
 
     def validate(self) -> None:
+        """ConfigError for any config a cell would fail on before its
+        learner starts; builds each epsilon's target, noise and gamma."""
         self._check_types()
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(
-                f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}"
+                f"unknown algorithm {self.algorithm!r}; "
+                f"pick one of {tuple(ALGORITHMS)}"
             )
         if self.family not in FAMILIES:
             raise ConfigError(
                 f"unknown family {self.family!r}; pick one of {FAMILIES}"
             )
+        if self.family not in ALGORITHMS[self.algorithm]:
+            raise ConfigError(
+                f"{self.algorithm} does not run on {self.family}; it runs on "
+                f"{', '.join(ALGORITHMS[self.algorithm])}"
+            )
         if self.gamma not in GAMMAS:
             raise ConfigError(f"unknown gamma oracle {self.gamma!r}")
+        if self.search_policy not in SEARCH_POLICIES:
+            raise ConfigError(f"unknown search policy {self.search_policy!r}")
         for eps in self.epsilons:
             if not 0.0 < eps < 1.0:
                 raise ConfigError(f"epsilon {eps} outside (0,1)")
@@ -146,17 +162,30 @@ class ExperimentConfig:
             raise ConfigError(f"delta {self.delta} outside (0,1)")
         if self.tau < 1.0:
             raise ConfigError(f"tau {self.tau} must be >= 1")
+        if self.n_cap < 1:
+            raise ConfigError(f"n_cap {self.n_cap} must be >= 1")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if self.k_max < 0 or self.resolution < 3:
             raise ConfigError("k_max must be >= 0 and resolution >= 3")
-        kind = self.target.get("type")
-        if kind not in ("threshold", "interval_union", "auto-interval"):
-            raise ConfigError(f"unsupported target spec {self.target!r}")
         try:
-            build_noise(self)
+            noise = build_noise(self)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad noise spec {self.noise!r}: {e}") from None
+        try:
+            targets = [build_target(self, eps) for eps in self.epsilons]
+        except KeyError as e:
+            raise ConfigError(f"target {self.target!r} lacks {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad target {self.target!r}: {e}") from None
+        if self.algorithm in ("al", "alarch"):
+            build_gamma(self, noise)
+        if self.algorithm == "binary-search-demo" and not all(
+            isinstance(t, Threshold) for t in targets
+        ):
+            raise ConfigError("binary-search-demo needs a threshold target")
+        if self.algorithm == "passive-baseline" and noise.nu > 0.0:
+            raise ConfigError("passive-baseline needs noise-free labels")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -259,13 +288,12 @@ def build_noise(config: ExperimentConfig) -> NoiseModel:
 
 
 def build_sequence(config: ExperimentConfig) -> NestedClassSequence:
+    """The nested classes of an interval family (``ALGORITHMS``)."""
     if config.family == "intervals-exact":
         return NestedClassSequence.exact_intervals(config.k_max)
-    if config.family == "intervals-enumerated":
-        return NestedClassSequence.enumerated_intervals(
-            config.k_max, config.resolution
-        )
-    raise ConfigError(f"family {config.family!r} does not define a sequence")
+    return NestedClassSequence.enumerated_intervals(
+        config.k_max, config.resolution
+    )
 
 
 def build_gamma(config: ExperimentConfig, noise: NoiseModel):
@@ -310,7 +338,7 @@ def run_cell(config: ExperimentConfig, seed: int, epsilon: float) -> ResultRow:
         h, _ = run_binary_search_demo(bundle, epsilon)
         iterations = bundle.ledger.search_queries
     elif alg == "cal":
-        v0 = _cal_start_space(config, target)
+        v0 = _cal_start_space(config)
         res = run_cal(v0, bundle, epsilon, config.delta)
         iterations = res.epochs
         h = (
@@ -327,16 +355,8 @@ def run_cell(config: ExperimentConfig, seed: int, epsilon: float) -> ResultRow:
                                  config.delta)
         iterations = len(trace)
     elif alg == "al":
-        cls = _finite_class(config)
-        out = run_al(
-            MaskedVersionSpace(cls).with_examples(
-                [tuple(e) for e in config.seed_examples]
-            ),
-            bundle,
-            build_gamma(config, bundle.noise),
-            epsilon,
-            config.delta,
-        )
+        out = run_al(_cal_start_space(config), bundle,
+                     build_gamma(config, bundle.noise), epsilon, config.delta)
         h = out.hypothesis
         iterations = out.halting_epoch
     elif alg == "alarch":
@@ -347,8 +367,8 @@ def run_cell(config: ExperimentConfig, seed: int, epsilon: float) -> ResultRow:
         iterations = len(rounds)
     elif alg == "aalarch":
         res = run_aalarch(
-            build_sequence(config), bundle, config.delta, config.tau,
-            config.n_cap, config.cost_cap,
+            build_sequence(config), bundle, config.delta, config.n_cap,
+            config.cost_cap,
         )
         h = res.solution
         iterations = len(res.timeline)
@@ -366,23 +386,19 @@ def run_cell(config: ExperimentConfig, seed: int, epsilon: float) -> ResultRow:
     )
 
 
-def _cal_start_space(config: ExperimentConfig, target):
+def _cal_start_space(config: ExperimentConfig):
+    """The family's top class narrowed by the seed examples: CAL's and
+    the inner agnostic loop's input space."""
     seeds = [tuple(e) for e in config.seed_examples]
     if config.family == "thresholds-exact":
         return ThresholdVersionSpace.from_examples(seeds)
     if config.family == "intervals-exact":
         return IntervalVersionSpace(config.k_max, seeds)
-    return MaskedVersionSpace(_finite_class(config)).with_examples(seeds)
-
-
-def _finite_class(config: ExperimentConfig):
     if config.family == "thresholds-grid":
-        return NestedClassSequence.threshold_grid(config.resolution)
-    if config.family == "intervals-enumerated":
-        seq = build_sequence(config)
-        assert seq.classes is not None
-        return seq.classes[config.k_max]
-    raise ConfigError(f"family {config.family!r} is not a finite class")
+        cls = NestedClassSequence.threshold_grid(config.resolution)
+    else:
+        cls = build_sequence(config).classes[config.k_max]
+    return MaskedVersionSpace(cls).with_examples(seeds)
 
 
 def _run_passive(config, bundle, epsilon) -> tuple:

@@ -321,45 +321,36 @@ class IntervalVersionSpace:
             vs._runs = None
         return vs
 
-    # Feasibility deltas for inserting a forced label into a gap: a new
-    # positive between two negatives opens a run (+1); a new negative
-    # between two consecutive positives splits their run (+1); everything
-    # else leaves the run count unchanged.  Gap neighbors outside [0,1]
-    # count as negative.
-    def _gap_deltas(self, left_pos: bool, right_pos: bool) -> tuple[int, int]:
-        d_pos = 0 if (left_pos or right_pos) else 1
-        d_neg = 1 if (left_pos and right_pos) else 0
-        return d_pos, d_neg
+    def _verdict(self, x: float) -> int:
+        """The label every member gives x, or 0 if x is in DIS.
 
-    def _feasible_labels(self, gap_index: int) -> tuple[bool, bool]:
-        """(can force +1, can force -1) inside gap ``gap_index``; gaps are
-        indexed 0..n with gap i lying between constraint i-1 and i."""
-        runs = self._runs
-        assert runs is not None
-        left_pos = gap_index > 0 and self.ys[gap_index - 1] == POS
-        right_pos = gap_index < len(self.xs) and self.ys[gap_index] == POS
-        d_pos, d_neg = self._gap_deltas(left_pos, right_pos)
-        return runs + d_pos <= self.k, runs + d_neg <= self.k
-
-    def dis_contains(self, x: float) -> bool:
-        if self.is_empty():
-            raise EmptyVersionSpaceError("empty version space has no DIS")
-        i = int(np.searchsorted(self.xs, x))
-        if i < len(self.xs) and self.xs[i] == x:
-            return False  # constraint point: label forced
-        ok_pos, ok_neg = self._feasible_labels(i)
-        return ok_pos and ok_neg
-
-    def agreement_label(self, x: float) -> int:
+        Off the constraint points, x lies in the gap between its two
+        neighbours (outside [0,1] counting as negative). Forcing a label
+        there adds a run when a positive lands between two negatives or a
+        negative splits a run of positives; the label is feasible iff
+        the run count stays <= k."""
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space")
-        i = int(np.searchsorted(self.xs, x))
-        if i < len(self.xs) and self.xs[i] == x:
-            return int(self.ys[i])
-        ok_pos, ok_neg = self._feasible_labels(i)
+        i = int(self.xs.searchsorted(x))
+        n = len(self.xs)
+        if i < n and self.xs[i] == x:
+            return int(self.ys[i])  # constraint point: label forced
+        left_pos = i > 0 and self.ys[i - 1] == POS
+        right_pos = i < n and self.ys[i] == POS
+        ok_pos = self._runs + (not (left_pos or right_pos)) <= self.k
+        ok_neg = self._runs + bool(left_pos and right_pos) <= self.k
         if ok_pos and ok_neg:
-            raise ValueError(f"x={x} lies in the disagreement region")
+            return 0
         return POS if ok_pos else NEG
+
+    def dis_contains(self, x: float) -> bool:
+        return self._verdict(x) == 0
+
+    def agreement_label(self, x: float) -> int:
+        label = self._verdict(x)
+        if label == 0:
+            raise ValueError(f"x={x} lies in the disagreement region")
+        return label
 
     def partition(self) -> Partition:
         if self.is_empty():
@@ -890,18 +881,21 @@ def _exact_k_interval_rows(r: int, k: int, slots: int) -> np.ndarray:
     return out
 
 
+_N_RADII = 16
+
+
 def disagreement_coefficient_estimate(
     vs: MaskedVersionSpace,
     center: Hypothesis | None = None,
     r: float = 0.05,
-    n_radii: int = 16,
     max_centers: int = 64,
 ) -> float:
     """Grid lower bound on sup over centers h in V and radii r' >= r of
     Pr[DIS(B_V(h, r'))] / r'.
 
     Centers default to an evenly spaced subsample of the survivors; radii
-    run a geometric grid from r to 1. Ball masses are exact.
+    run a geometric grid of ``_N_RADII`` points from r to 1. Ball masses
+    are exact.
     """
     if not 0.0 < r <= 1.0:
         raise ValueError(f"r must lie in (0,1], got {r}")
@@ -916,7 +910,7 @@ def disagreement_coefficient_estimate(
     if r >= 1.0:
         radii = np.array([1.0])
     else:
-        radii = np.geomspace(r, 1.0, n_radii)
+        radii = np.geomspace(r, 1.0, _N_RADII)
     best = 0.0
     for h in centers:
         dists = vs.cls.distances_from(h)

@@ -196,7 +196,6 @@ class OracleBundle:
             raise ValueError(f"unknown search policy {search_policy!r}")
         self.target = target
         self.noise = noise or NoiseModel()
-        self.seed = seed
         self.search_policy = search_policy
         self.validate_search = validate_search
         self.transcript = transcript
@@ -218,36 +217,31 @@ class OracleBundle:
 
     # -- LABEL ---------------------------------------------------------------
 
-    def true_label(self, x: float) -> int:
-        return predict(self.target, x)
-
     def true_labels(self, xs: np.ndarray) -> np.ndarray:
         return predict_batch(self.target, xs)
 
     def label_query(self, x: float) -> int:
-        y = int(self.label_query_batch(np.array([x]))[0])
-        return y
+        return int(self.label_query_batch(np.array([x]))[0])
 
     def label_query_batch(self, xs: np.ndarray) -> np.ndarray:
         """Noisy labels; one fresh conditional draw per call and point."""
-        xs = np.asarray(xs, dtype=np.float64)
-        clean = self.true_labels(xs)
-        if self.noise.kind == "realizable":
-            ys = clean
-        else:
-            flips = self._noise_rng.random(len(xs)) < self.noise.flip_probs(xs)
-            ys = np.where(flips, -clean, clean).astype(np.int8)
-        self.ledger.label_queries += len(xs)
-        self._log("label", {"n": len(xs)}, None)
+        ys = self._noisy_labels(xs, self._noise_rng)
+        self.ledger.label_queries += len(ys)
+        self._log("label", {"n": len(ys)}, None)
         return ys
 
     def shadow_labels(self, xs: np.ndarray) -> np.ndarray:
         """Off-ledger iid relabeling used for inferred points only."""
+        return self._noisy_labels(xs, self._shadow_rng)
+
+    def _noisy_labels(self, xs, rng: np.random.Generator) -> np.ndarray:
+        """Target labels at xs, each flipped with the noise model's
+        probability there by one draw from ``rng``."""
         xs = np.asarray(xs, dtype=np.float64)
         clean = self.true_labels(xs)
         if self.noise.kind == "realizable":
             return clean
-        flips = self._shadow_rng.random(len(xs)) < self.noise.flip_probs(xs)
+        flips = rng.random(len(xs)) < self.noise.flip_probs(xs)
         return np.where(flips, -clean, clean).astype(np.int8)
 
     # -- exact evaluation (simulation plumbing, not visible to algorithms) --
@@ -302,7 +296,7 @@ class OracleBundle:
         if vs.is_empty():
             # the oracle must still produce an example; first sweep point
             x = float(cands[0])
-            return LabeledExample(x, self.true_label(x))
+            return LabeledExample(x, predict(self.target, x))
         in_dis, labels = vs.partition().classify(cands)
         target_labels = self.true_labels(cands)
         valid = (~in_dis) & (labels != target_labels)
@@ -332,10 +326,12 @@ class OracleBundle:
         self, vs: VersionSpace, result: LabeledExample | None
     ) -> None:
         """Definitional soundness: a returned (x,y) has y = h*(x) and every
-        member of V wrong at x; None requires no candidate to be valid."""
+        member of V wrong at x; None requires no candidate to be valid.
+        Every test is pointwise, so it does not share ``_search``'s
+        partition lookups."""
         if result is not None:
             x, y = result
-            if y != self.true_label(x):
+            if y != predict(self.target, x):
                 raise SearchSoundnessError(f"label {y} != target label at {x}")
             if not vs.is_empty():
                 if vs.dis_contains(x):
@@ -346,13 +342,11 @@ class OracleBundle:
         if vs.is_empty():
             raise SearchSoundnessError("empty version space must yield an example")
         cands = self._candidates(vs)
-        in_dis, labels = vs.partition().classify(cands)
-        bad = (~in_dis) & (labels != self.true_labels(cands))
-        if bad.any():
-            raise SearchSoundnessError(
-                f"returned None but {cands[np.nonzero(bad)[0][0]]} is a "
-                "valid counterexample"
-            )
+        for x, y in zip(cands.tolist(), self.true_labels(cands).tolist()):
+            if not vs.dis_contains(x) and vs.agreement_label(x) != y:
+                raise SearchSoundnessError(
+                    f"returned None but {x} is a valid counterexample"
+                )
 
     # -- transcript -----------------------------------------------------------
 

@@ -100,18 +100,16 @@ def run_cal(
     bundle: OracleBundle,
     epsilon: float,
     delta: float,
-    d: int | None = None,
 ) -> CalResult:
     """Disagreement-based selective sampling on a fixed version space.
 
     Epoch i draws 2^i unlabeled points and queries LABEL exactly on those
     inside DIS of the version space carried into the epoch; it halts once
-    phi(d, 2^i, delta_i/2) <= epsilon or the version space empties. The
-    input space need not contain the target; an empty outcome is legal
-    and reported, not raised.
+    phi(d, 2^i, delta_i/2) <= epsilon or the version space empties, with
+    d the VC dimension of v0. The input space need not contain the
+    target; an empty outcome is legal and reported, not raised.
     """
-    if d is None:
-        d = v0.vc_dim
+    d = v0.vc_dim
     examples: list[LabeledExample] = []
     per_epoch: list[int] = []
     vs = v0
@@ -160,33 +158,27 @@ def run_larch(
     ell = 0
     trace: list[SimpleNamespace] = []
     max_iters = seq.K_max + int(math.ceil(math.log2(1.0 / epsilon))) + 3
+    vs = seq.version_space(k, s)
     for i in range(1, max_iters + 1):
-        vs = seq.version_space(k, s)
         e = bundle.search_query(vs, k=k)
         if e is None:
             if 2.0**-ell <= epsilon:
                 h = vs.canonical_member()
-                trace.append(
-                    _larch_row(i, k, ell, "return", vs, h, bundle)
-                )
+                trace.append(_larch_row(i, k, ell, "return", vs, h, bundle))
                 return h, bundle.ledger, trace
             ell += 1
             outcome = "bot"
         else:
             s.append(e)
             k = seq.min_consistent_index(s)
+            vs = seq.version_space(k, s)
             outcome = "counterexample"
-        cal = run_cal(
-            seq.version_space(k, s),
-            bundle,
-            2.0**-ell,
-            delta / (i * i + i),
-            d=seq.d(k),
-        )
+        cal = run_cal(vs, bundle, 2.0**-ell, delta / (i * i + i))
         s.extend(cal.examples)
-        vs_after = seq.version_space(k, s)
-        h_now = vs_after.canonical_member() if not vs_after.is_empty() else None
-        trace.append(_larch_row(i, k, ell, outcome, vs_after, h_now, bundle))
+        # CAL's last space is H_k(S) for the extended S: the next SEARCH's
+        vs = cal.final_version_space
+        h_now = vs.canonical_member() if not vs.is_empty() else None
+        trace.append(_larch_row(i, k, ell, outcome, vs, h_now, bundle))
     raise RuntimeError(
         f"no convergence within {max_iters} iterations; "
         "is the target realizable within K_max?"

@@ -236,7 +236,7 @@ def test_acceptance_4_al_guarantees():
     for seed in SEEDS:
         h_class = MaskedVersionSpace(NestedClassSequence.threshold_grid(101))
         b = OracleBundle(Threshold(0.5), NoiseModel("rcn", eta=eta), seed=seed)
-        out = run_al(h_class, b, gamma, eps, delta, watch_index=50)
+        out = run_al(h_class, b, gamma, eps, delta)
         prev = h_class.mask
         for m in out.epoch_masks:
             if np.any(m & ~prev):
@@ -332,11 +332,11 @@ def test_acceptance_6_aalarch():
             labels_a, searches_a, err_a = matched[seed]
             cost_a = labels_a + tau * searches_a
             b = OracleBundle(
-                target, NoiseModel("rcn", eta=eta), seed=seed + 1000,
+                target, NoiseModel("rcn", eta=eta), seed=seed + 1000, tau=tau,
             )
             diag = AalarchDiagnostics.for_run(seq, b)
             res = run_aalarch(
-                seq, b, delta, tau, n_cap, cost_a + 2 * tau, diagnostics=diag
+                seq, b, delta, n_cap, cost_a + 2 * tau, diagnostics=diag
             )
             if res.final_k > diag.kstar or any(
                 r.k > diag.kstar for r in res.trace

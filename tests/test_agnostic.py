@@ -56,7 +56,7 @@ class TestRunAl:
         for seed in range(20):
             h = threshold_class()
             b = rcn_bundle(Threshold(0.5), seed)
-            out = run_al(h, b, ConstantGamma(ETA), 0.05, 0.1, watch_index=50)
+            out = run_al(h, b, ConstantGamma(ETA), 0.05, 0.1)
             if out.reason == "success":
                 ok_success += 1
                 if out.version_space.mask[50]:
@@ -162,10 +162,10 @@ class TestRunAlarch:
     def test_hstar_retention_at_kstar(self):
         b = rcn_bundle(self.target, seed=1)
         _, _, rounds, outcomes = run_alarch(
-            self.seq, b, ConstantGamma(ETA), 0.05, 0.1,
-            watch_hypothesis=self.target,
+            self.seq, b, ConstantGamma(ETA), 0.05, 0.1
         )
         final = outcomes[-1]
         assert final.reason == "success"
-        watched = [r.watch_survives for r in final.trace if r.watch_survives is not None]
-        assert watched and all(watched)
+        idx = self.seq.classes[rounds[-1].k].index_of(self.target)
+        assert idx is not None
+        assert final.epoch_masks and all(m[idx] for m in final.epoch_masks)

@@ -243,12 +243,18 @@ class TestRunAalarch:
         self.target = IntervalUnion(((g[12], g[24]),))  # k* = 1
 
     def run_one(self, seed, tau=8.0, eta=0.1, n_cap=1500, cost_cap=1200.0):
-        b = rcn_bundle(self.target, seed, eta=eta)
+        b = rcn_bundle(self.target, seed, eta=eta, tau=tau)
         diag = AalarchDiagnostics.for_run(self.seq, b)
         res = run_aalarch(
-            self.seq, b, 0.1, tau, n_cap, cost_cap, diagnostics=diag
+            self.seq, b, 0.1, n_cap, cost_cap, diagnostics=diag
         )
         return b, diag, res
+
+    def test_tau_comes_from_the_ledger_and_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="tau"):
+            self.run_one(0, tau=0.5)
+        b, _, res = self.run_one(0, tau=8.0, cost_cap=100.0)
+        assert res.ledger is b.ledger and b.ledger.tau == 8.0
 
     def test_cost_accounting_every_row(self):
         _, _, res = self.run_one(0)
@@ -356,11 +362,10 @@ def ec_upgrade_run():
     seq = NestedClassSequence.enumerated_intervals(2, resolution=13)
     g = seq.grid
     target = IntervalUnion(((g[2], g[4]), (g[7], g[10])))
-    b = rcn_bundle(target, 0)
+    b = rcn_bundle(target, 0, tau=4096.0)
     diag = AalarchDiagnostics.for_run(seq, b)
     res = run_aalarch(
-        seq, b, 0.1, tau=4096.0, n_cap=30000, cost_cap=22000.0,
-        diagnostics=diag,
+        seq, b, 0.1, n_cap=30000, cost_cap=22000.0, diagnostics=diag,
     )
     return seq, target, diag, res
 

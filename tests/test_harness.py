@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oraclelab.harness import (
+    ALGORITHMS,
     ConfigError,
     ExperimentConfig,
     ResultRow,
@@ -152,6 +153,21 @@ class TestRunExperiment:
             row = run_cell(cfg, seed=0, epsilon=cfg.epsilons[0])
             assert isinstance(row, ResultRow)
 
+    @pytest.mark.parametrize(
+        "algorithm,family",
+        [(a, f) for a, families in ALGORITHMS.items() for f in families],
+    )
+    def test_every_accepted_family_runs_a_cell(self, algorithm, family):
+        # validate() passes exactly the pairs ALGORITHMS lists; each of
+        # them must run a cell
+        cfg = small_larch_config(
+            algorithm=algorithm, family=family, k_max=1, resolution=21,
+            target={"type": "threshold", "w": 0.4}, epsilons=[0.1],
+            seeds=[0], tau=4.0, n_cap=200, cost_cap=100.0,
+        )
+        cfg.validate()
+        assert isinstance(run_cell(cfg, seed=0, epsilon=0.1), ResultRow)
+
 
 class TestValidateAgainstBruteforce:
     def test_clean_run_small(self):
@@ -247,6 +263,25 @@ class TestCliConfigErrors:
             ({}, ["--set", "seeds=abc"], "seeds"),
             ({}, ["--set", 'delta="x"'], "delta"),
             ({}, ["--set", "nope=1"], "unknown config field"),
+            ({"algorithm": "aalarch"}, [], "aalarch does not run on"),
+            ({"algorithm": "alarch"}, [], "alarch does not run on"),
+            ({"algorithm": "binary-search-demo"}, [], "threshold target"),
+            ({"algorithm": "passive-baseline",
+              "noise": {"kind": "rcn", "eta": 0.1}}, [], "noise-free"),
+            ({"target": {"type": "interval_union",
+                         "intervals": [[0.6, 0.3]]}}, [], "bad interval"),
+            ({"target": {"type": "threshold"}}, [], "lacks 'w'"),
+            ({"target": {"type": "threshold", "w": 1.5}}, [], "bad target"),
+            ({"target": {"type": "auto-interval", "width_factor": "x"}}, [],
+             "bad target"),
+            ({"algorithm": "cal", "seed_examples": [[0.5, 3]]}, [],
+             "seed_examples"),
+            ({"search_policy": "bogus"}, [], "search policy"),
+            ({"algorithm": "aalarch", "family": "intervals-enumerated",
+              "n_cap": 0}, [], "n_cap"),
+            ({"family": "thresholds-exact"}, [], "larch does not run on"),
+            ({"algorithm": "al"}, [], "al does not run on"),
+            ({}, ["--set", "seeds=[-1]"], "seeds"),
         ],
     )
     def test_one_line_and_nonzero_exit(self, tmp_path, capsys, fields,

@@ -12,6 +12,7 @@ from oraclelab.hypotheses import (
     IntervalVersionSpace,
     MaskedVersionSpace,
     NestedClassSequence,
+    Partition,
     Threshold,
     ThresholdVersionSpace,
     predict,
@@ -184,6 +185,24 @@ class TestSearchOracle:
         vs0 = IntervalVersionSpace(0, [])
         with pytest.raises(SearchSoundnessError):
             b._check_search(vs0, None)
+
+    @pytest.mark.parametrize("backend", ["exact", "masked"])
+    def test_check_does_not_trust_the_partition(self, backend, monkeypatch):
+        # with classify putting every point in DIS, _search sees no valid
+        # candidate and returns None; the check must still find one
+        def all_in_dis(self, xs):
+            n = len(np.asarray(xs))
+            return np.ones(n, dtype=bool), np.zeros(n, dtype=np.int8)
+
+        if backend == "exact":
+            vs = IntervalVersionSpace(0, [])
+        else:
+            seq = NestedClassSequence.enumerated_intervals(1, 21)
+            vs = seq.version_space(0)
+        monkeypatch.setattr(Partition, "classify", all_in_dis)
+        b = make_bundle(IntervalUnion(((0.3, 0.6),)), validate_search=True)
+        with pytest.raises(SearchSoundnessError, match="returned None"):
+            b.search_query(vs, k=0)
 
     def test_masked_backend_search(self):
         seq = NestedClassSequence.enumerated_intervals(1, resolution=21)
