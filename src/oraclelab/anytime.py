@@ -36,7 +36,8 @@ from .hypotheses import (
     MaskedVersionSpace,
     NestedClassSequence,
 )
-from .oracles import DrawnExample, OracleBundle, QueryLedger, event, sal_step
+from .oracles import DrawnExample, OracleBundle, QueryLedger, event, sal_batch
+from .oracles import sal_step  # noqa: F401  (perfbench's tracer probes this binding)
 
 __all__ = [
     "AalarchDiagnostics",
@@ -74,15 +75,43 @@ def error_check(
     if l == 0 or vs.is_empty():
         return False
     assert seq.classes is not None
+    class_mins = [
+        counts[: len(seq.classes[kp])].min() for kp in range(vs.k, seq.K_max + 1)
+    ]
+    return _fires(
+        class_mins, counts[vs.survivor_indices()].min(), l,
+        _sigmas(seq, vs.k, l, delta, i),
+    )
+
+
+def _ball(b: float, s: float) -> float:
+    """b + 2 sqrt(b s) + 3 s: the edge of the Bernstein ball around an
+    empirical error b. The error check, the prune and the block scan all
+    evaluate it here, so they round alike."""
+    return b + 2.0 * math.sqrt(b * s) + 3.0 * s
+
+
+def _sigmas(
+    seq: NestedClassSequence, k: int, l: int, delta: float, i: int
+) -> list[float]:
+    """s_k' = sigma(d_k', l, delta_schedule(delta, i, k')) for k' = k..K_max."""
+    return [
+        sigma(seq.d(kp), l, delta_schedule(delta, i, kp))
+        for kp in range(k, seq.K_max + 1)
+    ]
+
+
+def _fires(class_mins, survivor_min, l: int, sigmas: list[float]) -> bool:
+    """The error check's test on an l-point dataset, from the minimum
+    count over each class H_k' (k' = k..K_max), the version space's
+    minimum count and the matching ``_sigmas``. Every rounded operation
+    in the bound is non-decreasing, so lowering a class minimum can only
+    turn False into True: with lower bounds for the minima it may fire
+    where the exact test would not, but never misses a firing."""
     gamma = math.inf
-    for kp in range(vs.k, seq.K_max + 1):
-        b = counts[: len(seq.classes[kp])].min() / l
-        s = sigma(seq.d(kp), l, delta_schedule(delta, i, kp))
-        if kp == vs.k:
-            s_k = s
-        gamma = min(gamma, b + 2.0 * math.sqrt(b * s) + 3.0 * s)
-    b_vs = counts[vs.survivor_indices()].min() / l
-    return b_vs > gamma + 2.0 * math.sqrt(gamma * s_k) + 3.0 * s_k
+    for m, s in zip(class_mins, sigmas):
+        gamma = min(gamma, _ball(m / l, s))
+    return survivor_min / l > _ball(gamma, sigmas[0])
 
 
 def prune_version_space(
@@ -106,7 +135,7 @@ def prune_version_space(
     errs = counts[idx]
     b = errs.min() / l
     s = sigma(vs.vc_dim, l, delta_schedule(delta, i, vs.k))
-    keep = errs / l <= b + 2.0 * math.sqrt(b * s) + 3.0 * s
+    keep = errs / l <= _ball(b, s)
     mask = np.zeros(len(vs.cls), dtype=bool)
     mask[idx[keep]] = True
     return vs.replace_mask(mask)
@@ -144,14 +173,88 @@ class _CountTracker:
         self.counts = np.zeros(len(self.top), dtype=np.int64)
         self.committed = self.counts.copy()
 
-    def append(self, x: float, y: int) -> None:
-        self.counts += self.top.rows(x) != (y == POS)
+    def extend(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        self.counts += self.top.err_counts(xs, ys)
 
     def commit(self) -> None:
         self.committed = self.counts.copy()
 
     def rollback(self) -> None:
         self.counts = self.committed.copy()
+
+
+# ---------------------------------------------------------------------------
+# Blocks of selective-sampling steps against one version space
+# ---------------------------------------------------------------------------
+
+# Largest steps x survivors error matrix a block may gather (int32, so
+# about 0.5 MB); a block is cut to fit.
+_BLOCK_ELEMENTS = 1 << 17
+# Steps in the first block after the version space changes; the block
+# doubles after every block that runs to its end.
+_FIRST_BLOCK = 16
+
+
+def _block_length(
+    seq: NestedClassSequence,
+    vs: MaskedVersionSpace,
+    counts: np.ndarray,
+    peek: tuple[np.ndarray, np.ndarray, np.ndarray],
+    l0: int,
+    i0: int,
+    c0: int,
+    ledger: QueryLedger,
+    delta: float,
+    cost_cap: float,
+) -> tuple[int, bool]:
+    """(m, pruned): how many of the peeked steps the per-step loop takes
+    against vs before its state changes, and whether the prune after the
+    m-th step drops a survivor.
+
+    Step t (from 0) of the peek is step i0 + t + 1 of the run, on a
+    dataset of l0 + t points with c0 + (labels so far) labels bought.
+    Before it, the loop checks the error and the cost; after it, it
+    prunes and checks the label budget. The tests here go through the
+    same ``_sigmas``, ``_ball`` and ``_fires`` as the loop's own, on
+    Python scalars:
+
+    * prune: a survivor drops iff the largest survivor count over l lies
+      outside the ball around the smallest;
+    * error check: the class minima over each H_k' are taken at the
+      block's start. Counts only grow, so they are lower bounds, and a
+      step that passes with them cannot fire; the block is cut at the
+      first step that does not pass, and the exact ``error_check``
+      decides there.
+
+    The caller bounds the peek by n_cap, so the n_cap stop needs no test.
+    """
+    xs, ys, queried = peek
+    # survivor counts after each step, as (steps, survivors)
+    errs = np.cumsum(
+        vs.survivor_rows(xs) != (ys == POS)[:, None], axis=0, dtype=np.int32
+    )
+    errs += counts[vs.survivor_indices()].astype(np.int32)
+    lo, hi = errs.min(axis=1).tolist(), errs.max(axis=1).tolist()
+    labels = np.cumsum(queried).tolist()
+    class_lo = [
+        int(counts[: len(seq.classes[kp])].min())
+        for kp in range(vs.k, seq.K_max + 1)
+    ]
+    search_cost = ledger.tau * ledger.search_queries
+    s: list[float] = []
+    for t in range(len(xs)):
+        if t:  # s holds the sigmas at (l0 + t, i0 + t) from the last step
+            if _fires(class_lo, lo[t - 1], l0 + t, s):
+                return t, False
+            if ledger.label_queries + labels[t - 1] + search_cost >= cost_cap:
+                return t, False
+        l = l0 + t + 1
+        s = _sigmas(seq, vs.k, l, delta, i0 + t + 1)
+        if hi[t] / l > _ball(lo[t] / l, s[0]):
+            return t + 1, True
+        if c0 + labels[t] >= ledger.tau:
+            return t + 1, False
+    return len(xs), False
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +356,17 @@ def run_aalarch(
     tau, the SEARCH-to-LABEL cost ratio, is the one the bundle's ledger
     charges.
 
-    One block: selective-sampling steps with per-step pruning until tau
+    One round: selective-sampling steps with per-step pruning until tau
     labels were bought or the working dataset reaches n_cap, with an error
     check before every step that can force a class upgrade and a restart
     from the trusted snapshot. Then one SEARCH: a counterexample upgrades
     the class and restarts from the snapshot; None commits the working
     dataset as the new snapshot and stores the surviving empirical
-    minimizer as the current solution.
+    minimizer as the current solution. The steps run in blocks against a
+    fixed version space, each cut where the per-step loop would change
+    state (``_block_length``), with the same results.
 
-    The working dataset is bounded by n_cap, so a degenerate block (no
+    The working dataset is bounded by n_cap, so a degenerate round (no
     room to sample) still issues its SEARCH and the budget drains.
 
     ``trace`` gets one "ec-upgrade", "counterexample" or "verified"
@@ -328,7 +433,7 @@ def run_aalarch(
     def restart(kind: str, e: LabeledExample | None) -> None:
         """Upgrade the class (past the counterexample e, if any) and roll
         the working dataset back to the trusted snapshot."""
-        nonlocal k, s, vs, working, discarded, unverified
+        nonlocal k, s, vs, working, discarded, unverified, block
         k, s, vs = upgrade_version_space(k, s, e, seq)
         vs = prune_version_space(
             tracker.committed, vs, tilde_len, delta, max(i, 1)
@@ -337,13 +442,15 @@ def run_aalarch(
         working = working[:tilde_len]
         tracker.rollback()
         unverified += 1
+        block = _FIRST_BLOCK
         note(kind)
 
+    block = _FIRST_BLOCK
     mark(False)
     while bundle.ledger.cost < cost_cap:
         c = 0
         upgraded = False
-        while True:  # sampling block; exits on label budget, size, or upgrade
+        while True:  # sampling round; exits on label budget, size, or upgrade
             if error_check(
                 tracker.counts, vs, len(working), delta, max(i, 1), seq
             ):
@@ -352,15 +459,41 @@ def run_aalarch(
                 break
             if bundle.ledger.cost >= cost_cap or len(working) >= n_cap:
                 break
-            i += 1
-            working, c = sal_step(vs, bundle, working, c)
-            rec = working[-1]
-            tracker.append(rec.x, rec.y)
-            vs = prune_version_space(tracker.counts, vs, len(working), delta, i)
+            n = min(
+                block,
+                n_cap - len(working),
+                max(1, _BLOCK_ELEMENTS // int(np.count_nonzero(vs.mask))),
+            )
+            peek = bundle.peek_sal(vs, n)
+            m, pruned = _block_length(
+                seq, vs, tracker.counts, peek, len(working), i, c,
+                bundle.ledger, delta, cost_cap,
+            )
+            batch, n_queried = sal_batch(vs, bundle, m)
+            assert all(
+                np.array_equal(got, want[:m])
+                for got, want in zip((batch.xs, batch.ys, batch.queried), peek)
+            ), "sal_batch drew other steps than the peek"
+            working.extend(
+                map(
+                    DrawnExample, batch.xs.tolist(), batch.ys.tolist(),
+                    batch.queried.tolist(), batch.shadow_ys.tolist(),
+                )
+            )
+            tracker.extend(batch.xs, batch.ys)
+            i += m
+            c += n_queried
+            if pruned:
+                vs = prune_version_space(
+                    tracker.counts, vs, len(working), delta, i
+                )
+                block = _FIRST_BLOCK
+            elif m == n:
+                block *= 2
             if c >= tau or len(working) >= n_cap:
                 break
         if upgraded:
-            continue  # restart the block, resetting the label counter
+            continue  # restart the round, resetting the label counter
         if bundle.ledger.cost >= cost_cap:
             break
         e = bundle.search_query(vs, k=k)

@@ -31,6 +31,7 @@ from .hypotheses import (
     ThresholdVersionSpace,
     hypothesis_from_json,
     hypothesis_to_json,
+    positive_segments,
     predict,
 )
 from .oracles import (SEARCH_POLICIES, ConstantGamma, NoiseModel,
@@ -184,8 +185,17 @@ class ExperimentConfig:
             isinstance(t, Threshold) for t in targets
         ):
             raise ConfigError("binary-search-demo needs a threshold target")
-        if self.algorithm == "passive-baseline" and noise.nu > 0.0:
-            raise ConfigError("passive-baseline needs noise-free labels")
+        if self.algorithm in ("larch", "seabel", "passive-baseline"):
+            # these learners need a consistent hypothesis of at most
+            # k_max intervals (a threshold is one)
+            if noise.nu > 0.0:
+                raise ConfigError(f"{self.algorithm} needs noise-free labels")
+            most = max(len(positive_segments(t)) for t in targets)
+            if most > self.k_max:
+                raise ConfigError(
+                    f"{self.algorithm} needs a target of at most k_max="
+                    f"{self.k_max} intervals; the target has {most}"
+                )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

@@ -302,6 +302,7 @@ class IntervalVersionSpace:
         self.k = k
         self.xs, self.ys, conflict = _dedup_examples(examples)
         self._runs = None if conflict else _count_runs(self.ys)
+        self._gaps: np.ndarray | None = None
         self._partition: Partition | None = None
 
     @property
@@ -321,27 +322,41 @@ class IntervalVersionSpace:
             vs._runs = None
         return vs
 
-    def _verdict(self, x: float) -> int:
-        """The label every member gives x, or 0 if x is in DIS.
+    def _gap_verdicts(self) -> np.ndarray:
+        """The verdict (label every member gives, or 0 in DIS) of each gap
+        between constraint points: gap g in 0..n lies between constraint
+        g-1 and constraint g, outside [0,1] counting as negative.
 
-        Off the constraint points, x lies in the gap between its two
-        neighbours (outside [0,1] counting as negative). Forcing a label
-        there adds a run when a positive lands between two negatives or a
-        negative splits a run of positives; the label is feasible iff
-        the run count stays <= k."""
+        Forcing a label in a gap adds a run when a positive lands between
+        two negatives or a negative splits a run of positives; the label
+        is feasible iff the run count stays <= k."""
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space")
-        i = int(self.xs.searchsorted(x))
-        n = len(self.xs)
-        if i < n and self.xs[i] == x:
-            return int(self.ys[i])  # constraint point: label forced
-        left_pos = i > 0 and self.ys[i - 1] == POS
-        right_pos = i < n and self.ys[i] == POS
-        ok_pos = self._runs + (not (left_pos or right_pos)) <= self.k
-        ok_neg = self._runs + bool(left_pos and right_pos) <= self.k
-        if ok_pos and ok_neg:
-            return 0
-        return POS if ok_pos else NEG
+        if self._gaps is None:
+            pos = self.ys == POS
+            left_pos = np.concatenate(([False], pos))
+            right_pos = np.concatenate((pos, [False]))
+            ok_pos = self._runs + ~(left_pos | right_pos) <= self.k
+            ok_neg = self._runs + (left_pos & right_pos) <= self.k
+            self._gaps = np.where(
+                ok_pos & ok_neg, 0, np.where(ok_pos, POS, NEG)
+            ).astype(np.int8)
+        return self._gaps
+
+    def _verdicts(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per point: (in DIS, the label every member gives it or 0). A
+        constraint point's label is forced; any other point takes the
+        verdict of its gap."""
+        xs = np.asarray(xs, dtype=np.float64)
+        gaps = self._gap_verdicts()
+        at = self.xs.searchsorted(xs)
+        label = gaps[at]
+        on = np.append(self.xs, np.inf)[at] == xs
+        label[on] = self.ys[at[on]]
+        return label == 0, label
+
+    def _verdict(self, x: float) -> int:
+        return int(self._verdicts(np.array([x]))[1][0])
 
     def dis_contains(self, x: float) -> bool:
         return self._verdict(x) == 0
@@ -357,13 +372,7 @@ class IntervalVersionSpace:
             raise EmptyVersionSpaceError("empty version space")
         if self._partition is None:
             n = len(self.xs)
-            pos = self.ys == POS
-            # gap g in 0..n lies between constraint g-1 and constraint g
-            left_pos = np.concatenate(([False], pos))
-            right_pos = np.concatenate((pos, [False]))
-            ok_pos = self._runs + ~(left_pos | right_pos) <= self.k
-            ok_neg = self._runs + (left_pos & right_pos) <= self.k
-            gap = np.where(ok_pos & ok_neg, 0, np.where(ok_pos, POS, NEG))
+            gap = self._gap_verdicts()
             raw = np.concatenate(([0.0], self.xs, [1.0]))
             keep = raw[1:] > raw[:-1]  # drop zero-length end gaps
             # 0 and 1 are breakpoints with the verdict of the gap they
@@ -454,22 +463,24 @@ class ThresholdVersionSpace:
         has_leq = (x >= self.lo) if self.lo_closed else (x > self.lo)
         return POS if has_leq else NEG
 
+    def _verdicts(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per point: (in DIS, unanimous label or 0), point by point."""
+        label = np.array(
+            [
+                0 if self.dis_contains(x) else self.agreement_label(x)
+                for x in np.asarray(xs, dtype=np.float64).tolist()
+            ],
+            dtype=np.int8,
+        )
+        return label == 0, label
+
     def partition(self) -> Partition:
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space")
         if self._partition is None:
             breaks = np.unique(np.array([0.0, self.lo, self.hi, 1.0]))
-            mids = 0.5 * (breaks[:-1] + breaks[1:])
-            seg_dis = np.array([self.dis_contains(m) for m in mids])
-            seg_label = np.array(
-                [0 if d else self.agreement_label(m) for d, m in zip(seg_dis, mids)],
-                dtype=np.int8,
-            )
-            pt_dis = np.array([self.dis_contains(b) for b in breaks])
-            pt_label = np.array(
-                [0 if d else self.agreement_label(b) for d, b in zip(pt_dis, breaks)],
-                dtype=np.int8,
-            )
+            seg_dis, seg_label = self._verdicts(0.5 * (breaks[:-1] + breaks[1:]))
+            pt_dis, pt_label = self._verdicts(breaks)
             self._partition = Partition(breaks, seg_dis, seg_label, pt_dis, pt_label)
         return self._partition
 
@@ -589,17 +600,21 @@ class EnumeratedClass:
         j = np.searchsorted(self.grid, xs)
         return 2 * j + (self._probe[j] == xs)
 
-    def rows(self, xs) -> np.ndarray:
-        """Positive predictions of every member at each point, as rows of
-        the (codes, members) table: (points, members), or (members,) for a
-        scalar. The table is built on first use."""
+    def table(self) -> np.ndarray:
+        """The (codes, members) positive-prediction table, built on first
+        use."""
         if self._table is None:
             c = np.arange(self._n_codes)[:, None]
             table = np.zeros((len(c), len(self)), dtype=bool)
             for s in range(self._lo.shape[1]):
                 table |= (c >= self._lo[:, s]) & (c <= self._hi[:, s])
             self._table = table
-        return self._table[self.codes(xs)]
+        return self._table
+
+    def rows(self, xs) -> np.ndarray:
+        """Positive predictions of every member at each point, as rows of
+        the table: (points, members), or (members,) for a scalar."""
+        return self.table()[self.codes(xs)]
 
     def predictions(self, xs: np.ndarray) -> np.ndarray:
         """Boolean positive-prediction matrix, rows = hypotheses."""
@@ -666,6 +681,8 @@ class MaskedVersionSpace:
         self.mask = (
             np.ones(len(cls), dtype=bool) if mask is None else mask.astype(bool)
         )
+        self._survivor_table: np.ndarray | None = None
+        self._code_verdict: np.ndarray | None = None
         self._partition: Partition | None = None
 
     @property
@@ -699,14 +716,35 @@ class MaskedVersionSpace:
         used[(ends[ends > 0] - 1) // 2] = True  # real codes are 2j+1
         return np.unique(np.concatenate(([0.0, 1.0], cls.grid[used])))
 
+    def _columns(self) -> np.ndarray:
+        """The survivors' columns of the class table, (codes, survivors)."""
+        return np.compress(self.mask, self.cls.table(), axis=1)
+
+    def survivor_rows(self, xs: np.ndarray) -> np.ndarray:
+        """Positive predictions of every survivor at each point, as
+        (points, survivors). The columns are gathered once per space and
+        kept, so no lookup spans the whole class."""
+        if self._survivor_table is None:
+            self._survivor_table = self._columns()
+        return self._survivor_table[self.cls.codes(xs)]
+
+    def _code_verdicts(self) -> np.ndarray:
+        """Per cell code of the class grid: the unanimous survivor label,
+        or 0 where the survivors disagree. Every point of a code's cell
+        gets the same predictions, so this table is the whole verdict."""
+        if self._code_verdict is None:
+            rows = self._columns()
+            all_pos = rows.all(axis=1)
+            verdict = np.where(all_pos, POS, NEG).astype(np.int8)
+            verdict[rows.any(axis=1) & ~all_pos] = 0
+            self._code_verdict = verdict
+        return self._code_verdict
+
     def _verdicts(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per point: (in DIS, unanimous survivor label or 0)."""
-        rows = np.compress(self.mask, self.cls.rows(xs), axis=1)
-        all_pos = rows.all(axis=1)
-        dis = rows.any(axis=1) & ~all_pos
-        label = np.where(all_pos, POS, NEG).astype(np.int8)
-        label[dis] = 0
-        return dis, label
+        codes = self.cls.codes(np.asarray(xs, dtype=np.float64))
+        label = self._code_verdicts()[codes]
+        return label == 0, label
 
     def partition(self) -> Partition:
         if self.is_empty():
@@ -718,24 +756,19 @@ class MaskedVersionSpace:
             self._partition = Partition(breaks, seg_dis, seg_label, pt_dis, pt_label)
         return self._partition
 
-    def _votes(self, x: float) -> tuple[bool, bool]:
-        """(some survivor predicts +1 at x, some survivor predicts -1)."""
-        row = self.cls.rows(x)[self.mask]
-        return bool(row.any()), not bool(row.all())
-
-    def dis_contains(self, x: float) -> bool:
-        if self.is_empty():
-            raise EmptyVersionSpaceError("empty version space has no DIS")
-        some_pos, some_neg = self._votes(x)
-        return some_pos and some_neg
-
-    def agreement_label(self, x: float) -> int:
+    def _verdict(self, x: float) -> int:
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space")
-        some_pos, some_neg = self._votes(x)
-        if some_pos and some_neg:
+        return int(self._code_verdicts()[self.cls.codes(float(x))])
+
+    def dis_contains(self, x: float) -> bool:
+        return self._verdict(x) == 0
+
+    def agreement_label(self, x: float) -> int:
+        label = self._verdict(x)
+        if label == 0:
             raise ValueError(f"x={x} lies in the disagreement region")
-        return POS if some_pos else NEG
+        return label
 
     def dis_region(self) -> RegionOfDisagreement:
         return self.partition().dis_region()

@@ -244,6 +244,27 @@ class OracleBundle:
         flips = rng.random(len(xs)) < self.noise.flip_probs(xs)
         return np.where(flips, -clean, clean).astype(np.int8)
 
+    def peek_sal(
+        self, vs: VersionSpace, n: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(xs, ys, queried) of the next n selective-sampling steps
+        against vs, as ``sal_batch(vs, self, n)`` would return them. The
+        ledger, the transcript and every stream are left as they were:
+        the sampler and noise streams are restored after the read-ahead.
+        A ``Generator.random(n)`` call yields what n one-point calls
+        would, so any prefix of the peek is what a shorter batch draws."""
+        gens = (self._sampler_rng.bit_generator, self._noise_rng.bit_generator)
+        saved = [g.state for g in gens]
+        try:
+            xs = self._sampler_rng.random(n)
+            queried, ys = vs.partition().classify(xs)
+            if queried.any():
+                ys[queried] = self._noisy_labels(xs[queried], self._noise_rng)
+        finally:
+            for g, state in zip(gens, saved):
+                g.state = state
+        return xs, ys, queried
+
     # -- exact evaluation (simulation plumbing, not visible to algorithms) --
 
     def exact_error(self, h: Hypothesis) -> float:
@@ -327,8 +348,9 @@ class OracleBundle:
     ) -> None:
         """Definitional soundness: a returned (x,y) has y = h*(x) and every
         member of V wrong at x; None requires no candidate to be valid.
-        Every test is pointwise, so it does not share ``_search``'s
-        partition lookups."""
+        The verdicts come from the version space's own rule
+        (``dis_contains``/``agreement_label`` and their batch form
+        ``_verdicts``), not from ``_search``'s partition lookups."""
         if result is not None:
             x, y = result
             if y != predict(self.target, x):
@@ -342,11 +364,13 @@ class OracleBundle:
         if vs.is_empty():
             raise SearchSoundnessError("empty version space must yield an example")
         cands = self._candidates(vs)
-        for x, y in zip(cands.tolist(), self.true_labels(cands).tolist()):
-            if not vs.dis_contains(x) and vs.agreement_label(x) != y:
-                raise SearchSoundnessError(
-                    f"returned None but {x} is a valid counterexample"
-                )
+        dis, labels = vs._verdicts(cands)
+        valid = np.flatnonzero(~dis & (labels != self.true_labels(cands)))
+        if len(valid):
+            raise SearchSoundnessError(
+                f"returned None but {float(cands[valid[0]])} is a valid "
+                "counterexample"
+            )
 
     # -- transcript -----------------------------------------------------------
 
@@ -409,7 +433,9 @@ def sal_step(
 ) -> tuple[list[DrawnExample], int]:
     """Draw one x; query LABEL inside DIS(V), infer the agreement label
     outside. Appends the record to ``labeled`` in place and returns that
-    same list with the updated query counter."""
+    same list with the updated query counter. No learner calls it: AA-LARCH
+    commits its steps through ``sal_batch``, and the tests keep the
+    per-step loop on it as a reference."""
     x = float(bundle.draw(1)[0])
     if vs.dis_contains(x):
         y = bundle.label_query(x)

@@ -32,8 +32,17 @@ from oraclelab.hypotheses import (
     as_arrays,
     predict_batch,
 )
-from oraclelab.oracles import NoiseModel, OracleBundle, events_to_jsonl
+from oraclelab import anytime
+from oraclelab.oracles import (
+    SEARCH_POLICIES,
+    NoiseModel,
+    OracleBundle,
+    QueryLedger,
+    events_to_jsonl,
+    sal_batch,
+)
 
+import aalarch_ref
 import gridref
 
 
@@ -330,7 +339,7 @@ class TestRunAalarch:
         assert math.isnan(error_at_cost(res.timeline, -1.0))
 
     def test_tracker_counts_match_err_counts(self):
-        # after every append, commit and rollback the tracker holds the
+        # after every extend, commit and rollback the tracker holds the
         # top class's error counts on the matching working prefix
         b = rcn_bundle(self.target, 4)
         xs = b.draw(300)
@@ -338,17 +347,17 @@ class TestRunAalarch:
         top = self.seq.classes[self.seq.K_max]
         tracker = _CountTracker(self.seq)
         cut = 120
-        for j in range(len(xs)):
-            tracker.append(float(xs[j]), int(ys[j]))
-            if j + 1 == cut:
-                tracker.commit()
+        for lo, hi in ((0, 1), (1, 8), (8, cut)):
+            tracker.extend(xs[lo:hi], ys[lo:hi])
+        tracker.commit()
+        tracker.extend(xs[cut:], ys[cut:])
         full, prefix = top.err_counts(xs, ys), top.err_counts(xs[:cut], ys[:cut])
         assert np.array_equal(tracker.counts, full)
         assert np.array_equal(tracker.committed, prefix)
         tracker.rollback()
         assert np.array_equal(tracker.counts, prefix)
         for j in range(cut, len(xs)):
-            tracker.append(float(xs[j]), int(ys[j]))
+            tracker.extend(xs[j : j + 1], ys[j : j + 1])
         assert np.array_equal(tracker.counts, full)
         assert np.array_equal(tracker.committed, prefix)
 
@@ -356,7 +365,7 @@ class TestRunAalarch:
 EC_UPGRADE_PIN = Path(__file__).resolve().parent / "golden" / "ec_upgrade_run.json"
 
 
-def ec_upgrade_run():
+def ec_upgrade_run(run=run_aalarch):
     # with SEARCH priced high, blocks run long and the structural error
     # check upgrades the class from data alone before the next probe
     seq = NestedClassSequence.enumerated_intervals(2, resolution=13)
@@ -364,9 +373,7 @@ def ec_upgrade_run():
     target = IntervalUnion(((g[2], g[4]), (g[7], g[10])))
     b = rcn_bundle(target, 0, tau=4096.0)
     diag = AalarchDiagnostics.for_run(seq, b)
-    res = run_aalarch(
-        seq, b, 0.1, n_cap=30000, cost_cap=22000.0, diagnostics=diag,
-    )
+    res = run(seq, b, 0.1, n_cap=30000, cost_cap=22000.0, diagnostics=diag)
     return seq, target, diag, res
 
 
@@ -411,3 +418,161 @@ class TestErrorCheckUpgradePath:
         # whole run (timeline, trace, working set) byte for byte
         want = json.loads(EC_UPGRADE_PIN.read_text())
         assert run_record(self.res) == want
+
+
+# ---------------------------------------------------------------------------
+# The blocked sampling loop against the per-step reference
+# ---------------------------------------------------------------------------
+
+NOISES = {
+    "realizable": NoiseModel(),
+    "rcn": NoiseModel("rcn", eta=0.1),
+    "pointwise": NoiseModel(
+        "pointwise", table=((0.0, 0.45, 0.05), (0.45, 1.0, 0.25))
+    ),
+}
+
+
+def blocked_and_stepwise(k_max, tau, noise, policy, seed, n_cap, cost_cap):
+    """run_record of the blocked run and of the per-step reference, and
+    both ledgers, on the same instance."""
+    seq = NestedClassSequence.enumerated_intervals(
+        k_max, resolution=21 if k_max == 1 else 13
+    )
+    g = seq.grid
+    target = (
+        IntervalUnion(((g[6], g[13]),)) if k_max == 1
+        else IntervalUnion(((g[2], g[4]), (g[7], g[10])))
+    )
+    out = []
+    for run in (run_aalarch, aalarch_ref.run_aalarch_stepwise):
+        b = OracleBundle(
+            target, NOISES[noise], seed=seed, tau=tau, search_policy=policy,
+            validate_search=True,
+        )
+        diag = AalarchDiagnostics.for_run(seq, b)
+        res = run(seq, b, 0.1, n_cap, cost_cap, diagnostics=diag)
+        out.append((run_record(res), b.ledger.snapshot()))
+    return out
+
+
+class TestBlockedMatchesStepwise:
+    @pytest.mark.parametrize("policy", SEARCH_POLICIES)
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("tau", [1.0, 4.0, 32.0, 4096.0])
+    @pytest.mark.parametrize("k_max", [1, 2])
+    def test_same_run(self, k_max, tau, noise, policy):
+        # n_cap and cost_cap are not block sizes, so both stops land
+        # inside a block; the seed moves with the case
+        seed = (7 * k_max + int(tau) + len(noise) + len(policy)) % 5
+        blocked, stepwise = blocked_and_stepwise(
+            k_max, tau, noise, policy, seed, n_cap=333, cost_cap=250.5
+        )
+        assert blocked == stepwise
+
+    def test_one_step_blocks(self, monkeypatch):
+        # with a budget of one element every block holds a single step
+        monkeypatch.setattr(anytime, "_BLOCK_ELEMENTS", 1)
+        for k_max, tau in ((1, 4.0), (2, 32.0)):
+            blocked, stepwise = blocked_and_stepwise(
+                k_max, tau, "rcn", "sweep", 3, n_cap=333, cost_cap=250.5
+            )
+            assert blocked == stepwise
+
+    def test_block_length_finds_the_first_state_change(self):
+        # random states and peeks against the per-step checks themselves:
+        # the block never runs past a step where the per-step loop stops
+        # or changes state, and reports the prune exactly; a shorter
+        # block could only come from the error-check screen
+        seq = NestedClassSequence.enumerated_intervals(2, resolution=9)
+        top = seq.classes[2]
+        g = seq.grid
+        rng = np.random.default_rng(5)
+        delta, n = 0.1, 48
+        outcomes = set()
+        for trial in range(150):
+            noise = NoiseModel("rcn", eta=float(rng.choice([0.0, 0.1, 0.3])))
+            b = OracleBundle(
+                IntervalUnion(((g[1], g[3]), (g[5], g[7]))), noise, seed=trial
+            )
+            l0 = int(rng.integers(0, 3000))
+            i0 = l0 + int(rng.integers(0, 50))
+            xs0 = b.draw(l0)
+            counts = top.err_counts(xs0, b.label_query_batch(xs0))
+            # a space pruned at a smaller delta keeps survivors just
+            # outside this run's ball, so prunes come early in the block
+            k = int(rng.integers(0, 3))
+            vs = prune_version_space(
+                counts, seq.version_space(k), l0,
+                delta * float(rng.choice([1.0, 0.5, 0.1])), max(i0, 1),
+            )
+            xs, ys, queried = peek = b.peek_sal(vs, n)
+            tau = float(rng.choice([1.0, 4.0, 1e9]))
+            c0 = int(rng.integers(0, tau)) if tau < 1e9 else 0
+            ledger = QueryLedger(
+                label_queries=l0, search_queries=int(rng.integers(0, 9)), tau=tau
+            )
+            cost_cap = ledger.cost + float(rng.choice([3.5, 10.0, 1e9]))
+            search_cost = ledger.tau * ledger.search_queries
+            m, pruned = anytime._block_length(
+                seq, vs, counts, peek, l0, i0, c0, ledger, delta, cost_cap
+            )
+            want_m, want_pruned, kind = n, False, "end"
+            c = counts.copy()
+            for step in range(n):
+                l, labels = l0 + step, c0 + int(queried[:step].sum())
+                if step and error_check(c, vs, l, delta, i0 + step, seq):
+                    want_m, kind = step, "error check"
+                    break
+                cost = ledger.label_queries + (labels - c0) + search_cost
+                if step and cost >= cost_cap:
+                    want_m, kind = step, "cost"
+                    break
+                c += top.err_counts(xs[step : step + 1], ys[step : step + 1])
+                after = prune_version_space(c, vs, l + 1, delta, i0 + step + 1)
+                if not np.array_equal(after.mask, vs.mask):
+                    want_m, want_pruned, kind = step + 1, True, "prune"
+                    break
+                if labels + int(queried[step]) >= tau:
+                    want_m, kind = step + 1, "tau"
+                    break
+            assert m <= want_m, (trial, kind)
+            assert pruned == (m == want_m and want_pruned), trial
+            outcomes.add(kind if m == want_m else "screen")
+        assert outcomes >= {"error check", "prune", "tau", "cost", "end"}
+
+    def test_ec_upgrade_fixture(self):
+        # the blocked run matches the pin (TestErrorCheckUpgradePath)
+        *_, res = ec_upgrade_run(aalarch_ref.run_aalarch_stepwise)
+        assert run_record(res) == json.loads(EC_UPGRADE_PIN.read_text())
+
+    def test_peek_changes_no_state(self):
+        seq = NestedClassSequence.enumerated_intervals(1, resolution=21)
+        vs = seq.version_space(1, [(0.3, 1), (0.9, -1)])
+        transcript: list = []
+        b = OracleBundle(
+            IntervalUnion(((0.3, 0.6),)), NOISES["rcn"], seed=2, tau=4.0,
+            transcript=transcript,
+        )
+        b.draw(5)
+        b.label_query_batch(np.array([0.1, 0.5]))
+        rngs = (b._sampler_rng, b._noise_rng, b._shadow_rng, b._policy_rng)
+        before = (
+            b.ledger.snapshot(), len(transcript),
+            [json.dumps(r.bit_generator.state) for r in rngs],
+        )
+        xs, ys, queried = b.peek_sal(vs, 200)
+        after = (
+            b.ledger.snapshot(), len(transcript),
+            [json.dumps(r.bit_generator.state) for r in rngs],
+        )
+        assert after == before
+        assert queried.any() and not queried.all()
+        # the peek is what the batch then draws, as a whole and as a prefix
+        batch, n_queried = sal_batch(vs, b, 120)
+        assert n_queried == int(queried[:120].sum())
+        for got, want in zip((batch.xs, batch.ys, batch.queried), (xs, ys, queried)):
+            assert np.array_equal(got, want[:120])
+        batch, _ = sal_batch(vs, b, 80)
+        for got, want in zip((batch.xs, batch.ys, batch.queried), (xs, ys, queried)):
+            assert np.array_equal(got, want[120:])

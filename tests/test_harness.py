@@ -282,6 +282,18 @@ class TestCliConfigErrors:
             ({"family": "thresholds-exact"}, [], "larch does not run on"),
             ({"algorithm": "al"}, [], "al does not run on"),
             ({}, ["--set", "seeds=[-1]"], "seeds"),
+            ({"k_max": 0}, [], "at most k_max=0 intervals"),
+            ({"algorithm": "seabel", "k_max": 0}, [],
+             "at most k_max=0 intervals"),
+            ({"algorithm": "passive-baseline", "k_max": 0}, [],
+             "at most k_max=0 intervals"),
+            ({"algorithm": "passive-baseline", "k_max": 0,
+              "family": "thresholds-exact",
+              "target": {"type": "threshold", "w": 0.4}}, [],
+             "at most k_max=0 intervals"),
+            ({"noise": {"kind": "rcn", "eta": 0.1}}, [], "noise-free"),
+            ({"algorithm": "seabel", "noise": {"kind": "rcn", "eta": 0.1}},
+             [], "noise-free"),
         ],
     )
     def test_one_line_and_nonzero_exit(self, tmp_path, capsys, fields,

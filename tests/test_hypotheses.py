@@ -439,15 +439,19 @@ class TestJsonSchema:
 
 
 class TestPartitionConsistency:
-    """The batched piecewise classifier must agree with the pointwise
-    predicates everywhere, including exactly on breakpoints."""
+    """The batched piecewise classifier and each backend's batch verdicts
+    must agree with the pointwise predicates everywhere, including
+    exactly on breakpoints and constraint points."""
 
     def _assert_consistent(self, vs, xs):
         in_dis, labels = vs.partition().classify(xs)
-        for x, d, lab in zip(xs, in_dis, labels):
-            assert bool(d) == vs.dis_contains(float(x))
+        v_dis, v_labels = vs._verdicts(xs)
+        for x, d, lab, vd, vlab in zip(xs, in_dis, labels, v_dis, v_labels):
+            assert bool(d) == bool(vd) == vs.dis_contains(float(x))
             if not d:
-                assert int(lab) == vs.agreement_label(float(x))
+                assert int(lab) == int(vlab) == vs.agreement_label(float(x))
+            else:
+                assert int(vlab) == 0
 
     def test_interval_spaces(self):
         rng = np.random.default_rng(29)
