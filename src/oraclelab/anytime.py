@@ -474,10 +474,16 @@ def run_aalarch(
                 np.array_equal(got, want[:m])
                 for got, want in zip((batch.xs, batch.ys, batch.queried), peek)
             ), "sal_batch drew other steps than the peek"
+            # a queried point's shadow label is its label; the inferred
+            # ones draw theirs from the shadow stream, in draw order
+            shadow_ys = batch.ys.copy()
+            if n_queried < m:
+                inferred = ~batch.queried
+                shadow_ys[inferred] = bundle.shadow_labels(batch.xs[inferred])
             working.extend(
                 map(
                     DrawnExample, batch.xs.tolist(), batch.ys.tolist(),
-                    batch.queried.tolist(), batch.shadow_ys.tolist(),
+                    batch.queried.tolist(), shadow_ys.tolist(),
                 )
             )
             tracker.extend(batch.xs, batch.ys)

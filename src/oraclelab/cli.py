@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
@@ -39,9 +40,10 @@ def _load_config(args) -> ExperimentConfig:
     except OSError as e:
         raise ConfigError(f"cannot read {args.config}: {e.strerror}") from None
     cfg = ExperimentConfig.from_json(text)
+    names = {f.name for f in fields(ExperimentConfig)}
     for item in args.set or []:
         key, _, raw = item.partition("=")
-        if not hasattr(cfg, key):
+        if key not in names:
             raise ConfigError(f"unknown config field {key!r}")
         try:
             value = json.loads(raw)

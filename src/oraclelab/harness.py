@@ -418,31 +418,17 @@ def _run_passive(config, bundle, epsilon) -> tuple:
     the simulation's measurement device)."""
     d = 2 * max(config.k_max, 1)
     cap = 4 * sample_size_cap(d, epsilon, config.delta)
-    sx = np.empty(0)  # the sample so far, sorted by x
-    sy = np.empty(0, dtype=np.int8)
-    h = IntervalUnion(())
+    vs = IntervalVersionSpace(config.k_max)  # the sample so far
+    h = vs.canonical_member()
     steps = 0
     chunk = 64
     while bundle.exact_error(h) > epsilon and steps < cap:
         xs = bundle.draw(chunk)
-        ys = bundle.label_query_batch(xs)
+        vs = vs.with_examples((xs, bundle.label_query_batch(xs)))
         steps += chunk
-        # merge the sorted chunk in; new points go after equal old ones,
-        # as a stable sort of the whole sample would put them
-        order = np.argsort(xs, kind="stable")
-        cx, cy = xs[order], ys[order]
-        at = np.searchsorted(sx, cx, side="right")
-        sx, sy = np.insert(sx, at, cx), np.insert(sy, at, cy)
-        pos = sy == 1
-        starts = pos & ~np.concatenate(([False], pos[:-1]))
-        ends = pos & ~np.concatenate((pos[1:], [False]))
-        intervals = tuple(
-            (float(a), float(b))
-            for a, b in zip(sx[starts], sx[ends])
-        )
-        if len(intervals) > config.k_max:
+        if vs.is_empty():
             raise RuntimeError("passive baseline needs realizable labels")
-        h = IntervalUnion(intervals)
+        h = vs.canonical_member()
     return h, steps
 
 

@@ -21,7 +21,6 @@ Labels are +1 / -1. The instance distribution is uniform on [0,1].
 
 from __future__ import annotations
 
-import bisect
 import copy
 import itertools
 import math
@@ -183,27 +182,18 @@ class Partition:
     """Piecewise classification of [0,1] induced by a version space.
 
     Breakpoints split [0,1] into open segments on which every member's
-    prediction is constant; each segment (and each breakpoint) is either
-    in the disagreement region or carries the unanimous label.
+    prediction is constant. A verdict is the label every member gives, or
+    0 inside the disagreement region: ``seg`` holds one per segment and
+    ``pt`` one per breakpoint, as int8 arrays.
 
     ``breaks`` keeps every breakpoint the version space hands in. The
     lookups run on merged cells: a breakpoint whose verdict and both of
     whose segments' verdicts agree is dropped, so a version space with
     hundreds of constraint points classifies against a handful of cells.
-    A verdict is the unanimous label, or 0 inside DIS.
     """
 
-    def __init__(
-        self,
-        breaks: np.ndarray,
-        seg_dis: np.ndarray,
-        seg_label: np.ndarray,
-        pt_dis: np.ndarray,
-        pt_label: np.ndarray,
-    ):
+    def __init__(self, breaks: np.ndarray, seg: np.ndarray, pt: np.ndarray):
         self.breaks = breaks
-        seg = np.where(seg_dis, 0, seg_label).astype(np.int8)
-        pt = np.where(pt_dis, 0, pt_label).astype(np.int8)
         # segment j+1 opens a new cell unless breakpoint j+1 and the
         # segments on both sides of it share one verdict
         opens = (seg[1:] != seg[:-1]) | (pt[1:-1] != seg[1:])
@@ -236,6 +226,50 @@ class Partition:
         dis = np.flatnonzero(self._cell == 0)
         segs = tuple(zip(self._edges[dis].tolist(), self._edges[dis + 1].tolist()))
         return RegionOfDisagreement(segs, segments_mass(segs))
+
+
+class _VersionSpace:
+    """What every version space derives from its own verdict rule.
+
+    A backend supplies ``is_empty()``, ``_rule(xs)``, the verdict of each
+    point of a float64 array (the label every member gives it, or 0 in
+    DIS) on a nonempty space, and, unless it builds its own partition,
+    ``_breakpoints()``: the sorted points, 0 and 1 included, between
+    which every member's prediction is constant.
+    """
+
+    _partition: Partition | None = None
+
+    def _verdicts(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per point: (in DIS, the label every member gives it or 0)."""
+        if self.is_empty():
+            raise EmptyVersionSpaceError("empty version space")
+        label = self._rule(np.asarray(xs, dtype=np.float64))
+        return label == 0, label
+
+    def _verdict(self, x: float) -> int:
+        return int(self._verdicts(np.array([x]))[1][0])
+
+    def dis_contains(self, x: float) -> bool:
+        return self._verdict(x) == 0
+
+    def agreement_label(self, x: float) -> int:
+        label = self._verdict(x)
+        if label == 0:
+            raise ValueError(f"x={x} lies in the disagreement region")
+        return label
+
+    def partition(self) -> Partition:
+        """The rule read at every breakpoint and at the midpoint of every
+        segment between two (``_verdicts`` raises on an empty space)."""
+        if self._partition is None:
+            breaks = self._breakpoints()
+            seg = self._verdicts(0.5 * (breaks[:-1] + breaks[1:]))[1]
+            self._partition = Partition(breaks, seg, self._verdicts(breaks)[1])
+        return self._partition
+
+    def dis_region(self) -> RegionOfDisagreement:
+        return self.partition().dis_region()
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +329,7 @@ def positive_run_count(examples: Examples) -> int | None:
     return _count_runs(ys)
 
 
-class IntervalVersionSpace:
+class IntervalVersionSpace(_VersionSpace):
     """H_k(S): unions of at most k closed intervals consistent with S."""
 
     def __init__(self, k: int, examples: Examples = ()):
@@ -303,7 +337,6 @@ class IntervalVersionSpace:
         self.xs, self.ys, conflict = _dedup_examples(examples)
         self._runs = None if conflict else _count_runs(self.ys)
         self._gaps: np.ndarray | None = None
-        self._partition: Partition | None = None
 
     @property
     def vc_dim(self) -> int:
@@ -314,12 +347,21 @@ class IntervalVersionSpace:
 
     def with_examples(self, extra: Examples) -> "IntervalVersionSpace":
         """The constraints so far plus ``extra``; on a repeated x the
-        older label wins. A space emptied by a conflict stays empty."""
-        xs, ys = as_arrays(extra)
-        merged = np.concatenate((self.xs, xs)), np.concatenate((self.ys, ys))
-        vs = IntervalVersionSpace(self.k, merged)
-        if self._runs is None:
-            vs._runs = None
+        older label wins. A space emptied by a conflict stays empty.
+
+        Only ``extra`` is sorted; its points are merged into the sorted
+        constraints, so a space grown chunk by chunk (the passive
+        baseline, CAL's epochs) never re-sorts what it holds."""
+        xs, ys, conflict = _dedup_examples(extra)
+        at = self.xs.searchsorted(xs)
+        old = self.xs.searchsorted(xs, side="right") > at  # repeats a constraint
+        conflict |= bool(np.any(self.ys[at[old]] != ys[old]))
+        new = ~old
+        vs = copy.copy(self)
+        vs.xs = np.insert(self.xs, at[new], xs[new])
+        vs.ys = np.insert(self.ys, at[new], ys[new])
+        vs._runs = None if conflict or self._runs is None else _count_runs(vs.ys)
+        vs._gaps = vs._partition = None
         return vs
 
     def _gap_verdicts(self) -> np.ndarray:
@@ -343,33 +385,19 @@ class IntervalVersionSpace:
             ).astype(np.int8)
         return self._gaps
 
-    def _verdicts(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per point: (in DIS, the label every member gives it or 0). A
-        constraint point's label is forced; any other point takes the
+    def _rule(self, xs: np.ndarray) -> np.ndarray:
+        """A constraint point's label is forced; any other point takes the
         verdict of its gap."""
-        xs = np.asarray(xs, dtype=np.float64)
         gaps = self._gap_verdicts()
         at = self.xs.searchsorted(xs)
         label = gaps[at]
         on = np.append(self.xs, np.inf)[at] == xs
         label[on] = self.ys[at[on]]
-        return label == 0, label
-
-    def _verdict(self, x: float) -> int:
-        return int(self._verdicts(np.array([x]))[1][0])
-
-    def dis_contains(self, x: float) -> bool:
-        return self._verdict(x) == 0
-
-    def agreement_label(self, x: float) -> int:
-        label = self._verdict(x)
-        if label == 0:
-            raise ValueError(f"x={x} lies in the disagreement region")
         return label
 
     def partition(self) -> Partition:
-        if self.is_empty():
-            raise EmptyVersionSpaceError("empty version space")
+        """Built from the gaps, not sampled: two constraint points can be
+        adjacent floats, with no midpoint between them."""
         if self._partition is None:
             n = len(self.xs)
             gap = self._gap_verdicts()
@@ -379,12 +407,8 @@ class IntervalVersionSpace:
             # bound, unless a constraint point sits on them
             on = np.concatenate((keep[:1], np.ones(n, dtype=bool), keep[-1:]))
             pt = np.concatenate((gap[:1], self.ys, gap[-1:]))[on]
-            seg = gap[keep]
-            self._partition = Partition(raw[on], seg == 0, seg, pt == 0, pt)
+            self._partition = Partition(raw[on], gap[keep], pt)
         return self._partition
-
-    def dis_region(self) -> RegionOfDisagreement:
-        return self.partition().dis_region()
 
     def canonical_member(self) -> IntervalUnion:
         """Minimal consistent hypothesis: one closed interval per positive
@@ -410,7 +434,7 @@ def _count_runs(ys: np.ndarray) -> int:
     return int(np.count_nonzero(_run_bounds(ys)[0]))
 
 
-class ThresholdVersionSpace:
+class ThresholdVersionSpace(_VersionSpace):
     """Thresholds h_w with w constrained to an interval of [0,1].
 
     Consistency with examples gives w in (max negative x, min positive x];
@@ -422,7 +446,6 @@ class ThresholdVersionSpace:
         self.hi = hi
         self.lo_closed = lo_closed
         self.hi_closed = hi_closed
-        self._partition: Partition | None = None
 
     vc_dim = 1
 
@@ -449,43 +472,15 @@ class ThresholdVersionSpace:
             lo, lo_closed = float(neg.max()), False
         return ThresholdVersionSpace(lo, hi, lo_closed, hi_closed)
 
-    def dis_contains(self, x: float) -> bool:
-        if self.is_empty():
-            raise EmptyVersionSpaceError("empty version space has no DIS")
-        # disagreement at x needs one member w <= x and another w > x
-        has_leq = (x >= self.lo) if self.lo_closed else (x > self.lo)
-        has_gt = x < self.hi
-        return has_leq and has_gt
+    def _rule(self, xs: np.ndarray) -> np.ndarray:
+        """Member w predicts +1 at x iff w <= x: disagreement at x needs
+        one member w <= x and another w > x."""
+        has_leq = xs >= self.lo if self.lo_closed else xs > self.lo
+        has_gt = xs < self.hi
+        return np.where(has_leq, np.where(has_gt, 0, POS), NEG).astype(np.int8)
 
-    def agreement_label(self, x: float) -> int:
-        if self.dis_contains(x):
-            raise ValueError(f"x={x} lies in the disagreement region")
-        has_leq = (x >= self.lo) if self.lo_closed else (x > self.lo)
-        return POS if has_leq else NEG
-
-    def _verdicts(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per point: (in DIS, unanimous label or 0), point by point."""
-        label = np.array(
-            [
-                0 if self.dis_contains(x) else self.agreement_label(x)
-                for x in np.asarray(xs, dtype=np.float64).tolist()
-            ],
-            dtype=np.int8,
-        )
-        return label == 0, label
-
-    def partition(self) -> Partition:
-        if self.is_empty():
-            raise EmptyVersionSpaceError("empty version space")
-        if self._partition is None:
-            breaks = np.unique(np.array([0.0, self.lo, self.hi, 1.0]))
-            seg_dis, seg_label = self._verdicts(0.5 * (breaks[:-1] + breaks[1:]))
-            pt_dis, pt_label = self._verdicts(breaks)
-            self._partition = Partition(breaks, seg_dis, seg_label, pt_dis, pt_label)
-        return self._partition
-
-    def dis_region(self) -> RegionOfDisagreement:
-        return self.partition().dis_region()
+    def _breakpoints(self) -> np.ndarray:
+        return np.unique(np.array([0.0, self.lo, self.hi, 1.0]))
 
     def canonical_member(self) -> Threshold:
         if self.is_empty():
@@ -531,7 +526,6 @@ class EnumeratedClass:
         self.kind = kind
         # grid plus +inf: defined at every index searchsorted can return
         self._probe = np.append(grid, np.inf)
-        self._probe_list = self._probe.tolist()
         self._n_codes = n_codes = 2 * len(grid) + 1
         self._lo, self._hi = lo, hi
         real = lo > 0
@@ -594,9 +588,6 @@ class EnumeratedClass:
 
     def codes(self, xs) -> np.ndarray:
         """Cell code of each point; a scalar gives a scalar."""
-        if isinstance(xs, float):  # one point: bisect skips numpy's call overhead
-            j = bisect.bisect_left(self._probe_list, xs)
-            return 2 * j + (self._probe_list[j] == xs)
         j = np.searchsorted(self.grid, xs)
         return 2 * j + (self._probe[j] == xs)
 
@@ -673,7 +664,7 @@ class EnumeratedClass:
         return mass_h + member_mass(lo, hi) - 2.0 * overlap
 
 
-class MaskedVersionSpace:
+class MaskedVersionSpace(_VersionSpace):
     """Survivor mask over an enumerated class."""
 
     def __init__(self, cls: EnumeratedClass, mask: np.ndarray | None = None):
@@ -683,7 +674,6 @@ class MaskedVersionSpace:
         )
         self._survivor_table: np.ndarray | None = None
         self._code_verdict: np.ndarray | None = None
-        self._partition: Partition | None = None
 
     @property
     def vc_dim(self) -> int:
@@ -740,38 +730,11 @@ class MaskedVersionSpace:
             self._code_verdict = verdict
         return self._code_verdict
 
-    def _verdicts(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per point: (in DIS, unanimous survivor label or 0)."""
-        codes = self.cls.codes(np.asarray(xs, dtype=np.float64))
-        label = self._code_verdicts()[codes]
-        return label == 0, label
+    def _rule(self, xs: np.ndarray) -> np.ndarray:
+        return self._code_verdicts()[self.cls.codes(xs)]
 
-    def partition(self) -> Partition:
-        if self.is_empty():
-            raise EmptyVersionSpaceError("empty version space")
-        if self._partition is None:
-            breaks = self._breakpoints()
-            seg_dis, seg_label = self._verdicts(0.5 * (breaks[:-1] + breaks[1:]))
-            pt_dis, pt_label = self._verdicts(breaks)
-            self._partition = Partition(breaks, seg_dis, seg_label, pt_dis, pt_label)
-        return self._partition
-
-    def _verdict(self, x: float) -> int:
-        if self.is_empty():
-            raise EmptyVersionSpaceError("empty version space")
-        return int(self._code_verdicts()[self.cls.codes(float(x))])
-
-    def dis_contains(self, x: float) -> bool:
-        return self._verdict(x) == 0
-
-    def agreement_label(self, x: float) -> int:
-        label = self._verdict(x)
-        if label == 0:
-            raise ValueError(f"x={x} lies in the disagreement region")
-        return label
-
-    def dis_region(self) -> RegionOfDisagreement:
-        return self.partition().dis_region()
+    # bound in this class's own namespace, where perfbench's tracer wraps it
+    partition = _VersionSpace.partition
 
     def canonical_member(self) -> Hypothesis:
         if self.is_empty():

@@ -168,12 +168,12 @@ class DrawnExample(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class SalBatch:
     """n selective-sampling records as columns, one entry per draw in
-    draw order; the fields mean what ``DrawnExample``'s do."""
+    draw order; the fields mean what ``DrawnExample``'s do. Shadow labels
+    are not drawn: their one reader, AA-LARCH, draws them itself."""
 
     xs: np.ndarray
     ys: np.ndarray
     queried: np.ndarray
-    shadow_ys: np.ndarray
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -349,8 +349,8 @@ class OracleBundle:
         """Definitional soundness: a returned (x,y) has y = h*(x) and every
         member of V wrong at x; None requires no candidate to be valid.
         The verdicts come from the version space's own rule
-        (``dis_contains``/``agreement_label`` and their batch form
-        ``_verdicts``), not from ``_search``'s partition lookups."""
+        (``_verdicts``, which ``dis_contains``/``agreement_label`` read
+        one point at a time), not from ``_search``'s partition lookups."""
         if result is not None:
             x, y = result
             if y != predict(self.target, x):
@@ -453,15 +453,11 @@ def sal_batch(
     vs: VersionSpace, bundle: OracleBundle, n: int
 ) -> tuple[SalBatch, int]:
     """n selective-sampling steps against a fixed version space. One draw
-    call, then LABEL on the DIS points, then shadow labels on the rest:
-    each random stream yields what n ``sal_step`` calls would get."""
+    call, then LABEL on the DIS points: the sampler and noise streams
+    yield what n ``sal_step`` calls would get."""
     xs = bundle.draw(n)
     queried, ys = vs.partition().classify(xs)
     n_queried = int(np.count_nonzero(queried))
     if n_queried:
         ys[queried] = bundle.label_query_batch(xs[queried])
-    shadow_ys = ys.copy()
-    if n_queried < n:
-        inferred = ~queried
-        shadow_ys[inferred] = bundle.shadow_labels(xs[inferred])
-    return SalBatch(xs, ys, queried, shadow_ys), n_queried
+    return SalBatch(xs, ys, queried), n_queried

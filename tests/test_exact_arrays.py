@@ -59,24 +59,24 @@ def threshold_range(vs):
 
 
 def unmerged_classify(parts, xs):
-    """Classify against every breakpoint, as before cells were merged."""
-    breaks, seg_dis, seg_label, pt_dis, pt_label = parts
+    """Classify against every breakpoint, as before cells were merged.
+    ``parts`` are Partition's arguments: breaks and the segment and
+    breakpoint verdicts (0 in DIS)."""
+    breaks, seg, pt = parts
     xs = np.asarray(xs, dtype=np.float64)
     idx = np.searchsorted(breaks, xs, side="right") - 1
     idx = np.clip(idx, 0, len(breaks) - 2)
-    in_dis = seg_dis[idx].copy()
-    labels = seg_label[idx].copy()
+    labels = seg[idx].copy()
     pt_idx = np.where(xs == breaks[-1], len(breaks) - 1, idx)
     exact = xs == breaks[pt_idx]
     where = np.nonzero(exact)[0]
-    in_dis[where] = pt_dis[pt_idx[where]]
-    labels[where] = pt_label[pt_idx[where]]
-    labels = np.where(in_dis, 0, labels)
-    return in_dis, labels.astype(np.int8)
+    labels[where] = pt[pt_idx[where]]
+    return labels == 0, labels.astype(np.int8)
 
 
 def unmerged_dis_region(parts):
-    breaks, seg_dis, _, pt_dis, _ = parts
+    breaks, seg, pt = parts
+    seg_dis, pt_dis = seg == 0, pt == 0
     segs = []
     n_seg = len(seg_dis)
     i = 0
@@ -193,7 +193,9 @@ def test_pairs_and_arrays_build_the_same_space(trial):
     a2 = a.with_examples(list(zip(ex.tolist(), ey.tolist())))
     b2 = b.with_examples((ex, ey))
     assert a2.xs.tolist() == b2.xs.tolist() and a2.ys.tolist() == b2.ys.tolist()
-    assert a2._runs == b2._runs
+    # merging the extra points in gives the space built from all of them
+    whole = IntervalVersionSpace(k, pairs + list(zip(ex.tolist(), ey.tolist())))
+    assert a2._runs == b2._runs == whole._runs
     want = dict_dedup(pairs + list(zip(ex.tolist(), ey.tolist())))
     assert a2.xs.tolist() == want[0].tolist() and a2.ys.tolist() == want[1].tolist()
     ta = ThresholdVersionSpace.from_examples(pairs)
@@ -268,7 +270,7 @@ def test_merged_classify_matches_unmerged_on_random_verdicts(trial):
     run_labels = rng.choice([-1, 0, 1], 4)
     seg = run_labels[np.sort(rng.integers(0, 4, n - 1))]
     pt = np.where(rng.random(n) < 0.7, np.append(seg, seg[-1]), rng.choice([-1, 0, 1], n))
-    parts = (breaks, seg == 0, seg.astype(np.int8), pt == 0, pt.astype(np.int8))
+    parts = (breaks, seg.astype(np.int8), pt.astype(np.int8))
     xs = np.concatenate([probes(breaks, rng), [-0.5, 1.5]])
     got = Partition(*parts).classify(xs)
     want = unmerged_classify(parts, xs)
@@ -287,11 +289,19 @@ def check_against_unmerged(vs, parts, rng):
 
 
 def check_against_grid(vs, pool, points):
+    """The partition's lookups, the batch rule ``_verdicts`` and the
+    pointwise predicates, each against the definitions over ``pool``."""
     in_dis, labels = vs.partition().classify(points)
-    for x, d, lab in zip(points.tolist(), in_dis.tolist(), labels.tolist()):
-        assert d == gridref.ref_dis_contains(pool, x), x
+    v_dis, v_labels = vs._verdicts(points)
+    for x, d, lab, vd, vlab in zip(
+        points.tolist(), in_dis.tolist(), labels.tolist(), v_dis.tolist(),
+        v_labels.tolist(),
+    ):
+        want = gridref.ref_dis_contains(pool, x)
+        assert d == vd == vs.dis_contains(x) == want, x
         if not d:
-            assert lab == gridref.ref_agreement_label(pool, x), x
+            want = gridref.ref_agreement_label(pool, x)
+            assert lab == vlab == vs.agreement_label(x) == want, x
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

@@ -294,6 +294,10 @@ class TestCliConfigErrors:
             ({"noise": {"kind": "rcn", "eta": 0.1}}, [], "noise-free"),
             ({"algorithm": "seabel", "noise": {"kind": "rcn", "eta": 0.1}},
              [], "noise-free"),
+            # names the config object has that are not fields
+            ({}, ["--set", "validate=1"], "unknown config field"),
+            ({}, ["--set", "config_hash=1"], "unknown config field"),
+            ({}, ["--set", "__class__=1"], "unknown config field"),
         ],
     )
     def test_one_line_and_nonzero_exit(self, tmp_path, capsys, fields,

@@ -439,9 +439,10 @@ class TestJsonSchema:
 
 
 class TestPartitionConsistency:
-    """The batched piecewise classifier and each backend's batch verdicts
-    must agree with the pointwise predicates everywhere, including
-    exactly on breakpoints and constraint points."""
+    """The partition's lookups must agree with each backend's own verdict
+    rule everywhere, including exactly on breakpoints and constraint
+    points. (``test_exact_arrays.check_against_grid`` checks the rule
+    itself against the definitions.)"""
 
     def _assert_consistent(self, vs, xs):
         in_dis, labels = vs.partition().classify(xs)
@@ -492,6 +493,30 @@ class TestPartitionConsistency:
             vs = MaskedVersionSpace(cls, mask)
             probe = np.concatenate([rng.random(40), cls.grid, [0.0, 1.0]])
             self._assert_consistent(vs, probe)
+
+
+def _empty_spaces():
+    cls = NestedClassSequence.enumerated_intervals(1, resolution=5).classes[1]
+    return {
+        "interval": IntervalVersionSpace(0, [(0.5, 1)]),
+        "threshold": ThresholdVersionSpace.from_examples([(0.3, 1), (0.7, -1)]),
+        "masked": MaskedVersionSpace(cls, np.zeros(len(cls), dtype=bool)),
+    }
+
+
+@pytest.mark.parametrize("backend", ["interval", "threshold", "masked"])
+def test_empty_space_has_no_verdicts(backend):
+    vs = _empty_spaces()[backend]
+    assert vs.is_empty()
+    for ask in (
+        lambda: vs._verdicts(np.array([0.2, 0.5])),
+        lambda: vs.dis_contains(0.5),
+        lambda: vs.agreement_label(0.5),
+        vs.partition,
+        vs.dis_region,
+    ):
+        with pytest.raises(EmptyVersionSpaceError):
+            ask()
 
 
 class TestSegmentArithmetic:

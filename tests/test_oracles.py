@@ -17,6 +17,7 @@ from oraclelab.hypotheses import (
     ThresholdVersionSpace,
     predict,
 )
+from oraclelab.anytime import run_aalarch
 from oraclelab.oracles import (
     ConstantGamma,
     DrawnExample,
@@ -32,6 +33,16 @@ from oraclelab.oracles import (
 
 def make_bundle(target, noise=None, seed=0, **kw):
     return OracleBundle(target, noise=noise, seed=seed, **kw)
+
+
+def shadow_column(batch, bundle):
+    """A batch's shadow labels as AA-LARCH draws them: a queried point
+    keeps its label, the inferred ones read the shadow stream in draw
+    order."""
+    shadow = batch.ys.copy()
+    inferred = ~batch.queried
+    shadow[inferred] = bundle.shadow_labels(batch.xs[inferred])
+    return shadow
 
 
 class TestNoiseModel:
@@ -287,15 +298,20 @@ class TestSal:
         assert [r.x for r in L1] == batch.xs.tolist()
         assert [r.y for r in L1] == batch.ys.tolist()
         assert [r.queried for r in L1] == batch.queried.tolist()
-        assert [r.shadow_y for r in L1] == batch.shadow_ys.tolist()
+        assert [r.shadow_y for r in L1] == shadow_column(batch, b2).tolist()
 
     def test_shadow_equals_label_when_queried(self):
-        vs = IntervalVersionSpace(1, [(0.5, 1)])
-        b = make_bundle(IntervalUnion(((0.4, 0.6),)), NoiseModel("rcn", eta=0.3),
-                        seed=7)
-        batch, _ = sal_batch(vs, b, 100)
-        q = batch.queried
-        assert np.array_equal(batch.shadow_ys[q], batch.ys[q])
+        # AA-LARCH is the one learner that records shadow labels
+        seq = NestedClassSequence.enumerated_intervals(1, resolution=5)
+        b = make_bundle(IntervalUnion(((0.25, 0.75),)),
+                        NoiseModel("rcn", eta=0.05), seed=7, tau=4.0)
+        res = run_aalarch(seq, b, delta=0.5, n_cap=3000, cost_cap=3000.0)
+        q = np.array([r.queried for r in res.working])
+        ys = np.array([r.y for r in res.working])
+        shadow_ys = np.array([r.shadow_y for r in res.working])
+        assert q.any() and not q.all()
+        assert np.array_equal(shadow_ys[q], ys[q])
+        assert np.any(shadow_ys[~q] != ys[~q])  # inferred: an independent draw
 
 
 class TestDeterminism:
@@ -313,7 +329,8 @@ class TestDeterminism:
             b.search_query(vs, k=1)
             recs = [
                 col.tolist()
-                for col in (batch.xs, batch.ys, batch.queried, batch.shadow_ys)
+                for col in (batch.xs, batch.ys, batch.queried,
+                            shadow_column(batch, b))
             ]
             return events_to_jsonl(t), b.ledger.snapshot(), recs
 
