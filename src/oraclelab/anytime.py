@@ -470,23 +470,26 @@ def run_aalarch(
                 bundle.ledger, delta, cost_cap,
             )
             batch, n_queried = sal_batch(vs, bundle, m)
-            assert all(
-                np.array_equal(got, want[:m])
-                for got, want in zip((batch.xs, batch.ys, batch.queried), peek)
+            # the peek already classified these draws, so the batch's own
+            # inferred labels are never built
+            xs, ys, queried = (col[:m] for col in peek)
+            assert (
+                np.array_equal(batch.xs, xs)
+                and np.array_equal(batch.queried, queried)
+                and np.array_equal(batch.queried_ys, ys[queried])
             ), "sal_batch drew other steps than the peek"
             # a queried point's shadow label is its label; the inferred
             # ones draw theirs from the shadow stream, in draw order
-            shadow_ys = batch.ys.copy()
+            shadow_ys = ys.copy()
             if n_queried < m:
-                inferred = ~batch.queried
-                shadow_ys[inferred] = bundle.shadow_labels(batch.xs[inferred])
+                shadow_ys[~queried] = bundle.shadow_labels(xs[~queried])
             working.extend(
                 map(
-                    DrawnExample, batch.xs.tolist(), batch.ys.tolist(),
-                    batch.queried.tolist(), shadow_ys.tolist(),
+                    DrawnExample, xs.tolist(), ys.tolist(),
+                    queried.tolist(), shadow_ys.tolist(),
                 )
             )
-            tracker.extend(batch.xs, batch.ys)
+            tracker.extend(xs, ys)
             i += m
             c += n_queried
             if pruned:

@@ -517,7 +517,8 @@ def validate_against_bruteforce(
     Per instance: a small endpoint grid, a nested enumerated sequence and
     its exact twin, a random on-grid constraint set, and a random target.
     Checks disagreement regions (masked backend against naive enumeration,
-    exact backend against the masked one at cell midpoints), minimum
+    exact backend against the masked one at cell midpoints; membership both
+    by ``dis_contains`` and by the partition's ``in_dis``), minimum
     consistent indices, ERM, version-space pruning (on the sample, and on
     error counts placed at the pruning radius), and SEARCH soundness plus
     grid completeness. Returns every mismatch found.
@@ -581,10 +582,12 @@ def validate_against_bruteforce(
         eval_pts = np.concatenate([grid, mids])
         preds = pred_all(eval_pts)[mask]
         naive_dis = preds.any(axis=0) & ~preds.all(axis=0)
-        checks += 1
         got_dis = np.array([vs.dis_contains(float(x)) for x in eval_pts])
-        if not np.array_equal(naive_dis, got_dis):
-            mismatches.append(f"[{inst}] masked dis_contains != enumeration")
+        for name, got in (("dis_contains", got_dis),
+                          ("in_dis", vs.partition().in_dis(eval_pts))):
+            checks += 1
+            if not np.array_equal(naive_dis, got):
+                mismatches.append(f"[{inst}] masked {name} != enumeration")
         region = vs.dis_region()
         mass_naive = float(np.mean(naive_dis[len(grid):]))
         checks += 1
@@ -598,29 +601,33 @@ def validate_against_bruteforce(
         # other direction holds up to one grid cell around exact-region
         # endpoints (degenerate survivor sets shrink the grid region).
         evs = exact.version_space(k_max, s)
-        checks += 1
         cell = 1.0 / (r - 1)
         if evs.is_empty():
+            checks += 1
             mismatches.append(f"[{inst}] exact empty but masked nonempty")
         else:
             exact_ends = [v for seg in evs.dis_region().segments for v in seg]
-            for x, want_d in zip(mids, naive_dis[len(grid):]):
-                exact_d = evs.dis_contains(float(x))
-                if bool(want_d) and not exact_d:
-                    mismatches.append(
-                        f"[{inst}] masked DIS escapes the exact one at {x}"
-                    )
-                    break
-                if exact_d and not bool(want_d):
-                    near = exact_ends and min(
-                        abs(x - v) for v in exact_ends
-                    ) <= cell + 1e-12
-                    if not near:
+            for name, exact_dis in (
+                ("dis_contains", [evs.dis_contains(float(x)) for x in mids]),
+                ("in_dis", evs.partition().in_dis(mids)),
+            ):
+                checks += 1
+                for x, want_d, exact_d in zip(mids, naive_dis[len(grid):], exact_dis):
+                    if bool(want_d) and not exact_d:
                         mismatches.append(
-                            f"[{inst}] exact DIS at {x} unmatched beyond "
-                            "one grid cell"
+                            f"[{inst}] masked DIS escapes the exact {name} at {x}"
                         )
                         break
+                    if exact_d and not bool(want_d):
+                        near = exact_ends and min(
+                            abs(x - v) for v in exact_ends
+                        ) <= cell + 1e-12
+                        if not near:
+                            mismatches.append(
+                                f"[{inst}] exact {name} DIS at {x} unmatched "
+                                "beyond one grid cell"
+                            )
+                            break
 
         # ERM against a scalar-path exhaustive scan on sampled survivors
         m = int(rng.integers(1, 24))

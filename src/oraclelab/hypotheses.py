@@ -190,6 +190,13 @@ class Partition:
     lookups run on merged cells: a breakpoint whose verdict and both of
     whose segments' verdicts agree is dropped, so a version space with
     hundreds of constraint points classifies against a handful of cells.
+
+    ``in_dis`` answers DIS membership alone from closed spans: each
+    maximal run of neighbouring DIS cells with its two outer edges, and
+    each lone edge whose own verdict is 0. Neighbouring DIS cells are
+    always split by a forced edge, so a space that has seen only
+    negatives is one span [0, 1]; the edges of the runs whose own verdict
+    is not 0 are its stops, looked up only for the points inside a span.
     """
 
     def __init__(self, breaks: np.ndarray, seg: np.ndarray, pt: np.ndarray):
@@ -198,7 +205,7 @@ class Partition:
         # segments on both sides of it share one verdict
         opens = (seg[1:] != seg[:-1]) | (pt[1:-1] != seg[1:])
         keep = np.concatenate(([True], opens, [True]))
-        self._edges = breaks[keep]  # cell boundaries, 0 and 1 included
+        self._edges = edges = breaks[keep]  # cell boundaries, 0 and 1 included
         self._cell = seg[keep[:-1]]
         # searchsorted(side="right") sends a point on an edge to the cell
         # on its right (on the last break, to the last cell); the edges
@@ -207,7 +214,19 @@ class Partition:
         edge_pt = pt[keep]
         right = np.minimum(np.arange(len(edge_pt)), len(self._cell) - 1)
         off = edge_pt != self._cell[right]
-        self._hits, self._hit_verdict = self._edges[off], edge_pt[off]
+        self._hits, self._hit_verdict = edges[off], edge_pt[off]
+        # DIS cells padded with a non-DIS cell at each end: the edges where
+        # DIS starts or stops are alternately the two ends of each span
+        dis = np.concatenate(([False], self._cell == 0, [False]))
+        ends = edges[dis[:-1] != dis[1:]].tolist()
+        if dis[1]:  # classify extends the end cells past 0 and 1
+            ends[0] = -np.inf
+        if dis[-2]:
+            ends[-1] = np.inf
+        touched = dis[:-1] | dis[1:]
+        lone = edges[~touched & (edge_pt == 0)].tolist()
+        self._spans = list(zip(ends[0::2], ends[1::2])) + list(zip(lone, lone))
+        self._stops = edges[touched & (edge_pt != 0)]
 
     def classify(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per point: (in disagreement region, unanimous label or 0)."""
@@ -219,6 +238,23 @@ class Partition:
                 at = np.searchsorted(self._hits, xs[hit])
                 labels[hit] = self._hit_verdict[at]
         return labels == 0, labels
+
+    def in_dis(self, xs: np.ndarray) -> np.ndarray:
+        """Per point: in the disagreement region; ``classify(xs)[0]``
+        without classifying."""
+        xs = np.asarray(xs, dtype=np.float64)
+        if not self._spans:
+            return np.zeros(xs.shape, dtype=bool)
+        (lo, hi), *rest = self._spans
+        out = (xs >= lo) & (xs <= hi)
+        for lo, hi in rest:
+            out |= (xs >= lo) & (xs <= hi)
+        cand = np.flatnonzero(out) if len(self._stops) else ()
+        if len(cand):
+            inside = xs[cand]
+            at = np.minimum(self._stops.searchsorted(inside), len(self._stops) - 1)
+            out[cand[self._stops[at] == inside]] = False
+        return out
 
     def dis_region(self) -> RegionOfDisagreement:
         # neighbouring DIS cells are always split by a forced edge, so
@@ -326,7 +362,7 @@ def positive_run_count(examples: Examples) -> int | None:
     xs, ys, conflict = _dedup_examples(examples)
     if conflict:
         return None
-    return _count_runs(ys)
+    return int(np.count_nonzero(_run_bounds(ys)[0]))
 
 
 class IntervalVersionSpace(_VersionSpace):
@@ -334,35 +370,79 @@ class IntervalVersionSpace(_VersionSpace):
 
     def __init__(self, k: int, examples: Examples = ()):
         self.k = k
-        self.xs, self.ys, conflict = _dedup_examples(examples)
-        self._runs = None if conflict else _count_runs(self.ys)
+        self._xs, self._ys, conflict = _dedup_examples(examples)
+        # (xs, ys) chunks added since and not merged in yet, oldest first
+        self._pending: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+        # (first x, last x) of each maximal run of +1 labels, or None
+        # when some point carries both labels
+        self._bounds = None
+        if not conflict:
+            starts, ends = _run_bounds(self._ys)
+            self._bounds = self._xs[starts], self._xs[ends]
         self._gaps: np.ndarray | None = None
+
+    @property
+    def xs(self) -> np.ndarray:
+        """The sorted distinct constraint points."""
+        self._merge_pending()
+        return self._xs
+
+    @property
+    def ys(self) -> np.ndarray:
+        """Their labels, int8."""
+        self._merge_pending()
+        return self._ys
 
     @property
     def vc_dim(self) -> int:
         return 2 * self.k
 
+    @property
+    def _runs(self) -> int | None:
+        return None if self._bounds is None else len(self._bounds[0])
+
     def is_empty(self) -> bool:
-        return self._runs is None or self._runs > self.k
+        return self._bounds is None or self._runs > self.k
 
     def with_examples(self, extra: Examples) -> "IntervalVersionSpace":
         """The constraints so far plus ``extra``; on a repeated x the
         older label wins. A space emptied by a conflict stays empty.
 
-        Only ``extra`` is sorted; its points are merged into the sorted
-        constraints, so a space grown chunk by chunk (the passive
-        baseline, CAL's epochs) never re-sorts what it holds."""
-        xs, ys, conflict = _dedup_examples(extra)
-        at = self.xs.searchsorted(xs)
-        old = self.xs.searchsorted(xs, side="right") > at  # repeats a constraint
-        conflict |= bool(np.any(self.ys[at[old]] != ys[old]))
-        new = ~old
+        Points that cannot move a run bound (``_moves_a_bound``) are only
+        queued, and merged into the sorted constraints when ``xs`` or
+        ``ys`` is next read; a space grown chunk by chunk whose runs hold
+        still (the passive baseline between two growths of its hypothesis)
+        pays per chunk for the chunk alone."""
+        xs, ys = _labeled_arrays(extra)
         vs = copy.copy(self)
-        vs.xs = np.insert(self.xs, at[new], xs[new])
-        vs.ys = np.insert(self.ys, at[new], ys[new])
-        vs._runs = None if conflict or self._runs is None else _count_runs(vs.ys)
+        vs._pending = self._pending + ((xs, ys),)
         vs._gaps = vs._partition = None
+        if self._bounds is not None and _moves_a_bound(self._bounds, xs, ys):
+            if vs._merge_pending():
+                vs._bounds = None
+            else:
+                starts, ends = _run_bounds(vs._ys)
+                vs._bounds = vs._xs[starts], vs._xs[ends]
         return vs
+
+    def _merge_pending(self) -> bool:
+        """Merge the queued points into the sorted constraints; True when
+        one of them carries the other label of a constraint or of an older
+        queued point. Only the queued points are sorted."""
+        if not self._pending:
+            return False
+        xs, ys, conflict = _dedup_examples(
+            tuple(np.concatenate(col) for col in zip(*self._pending))
+        )
+        self._pending = ()
+        at = self._xs.searchsorted(xs)
+        old = self._xs.searchsorted(xs, side="right") > at  # repeats a constraint
+        if old.any():
+            conflict |= bool((self._ys[at[old]] != ys[old]).any())
+            xs, ys, at = xs[~old], ys[~old], at[~old]
+        self._xs = np.insert(self._xs, at, xs)
+        self._ys = np.insert(self._ys, at, ys)
+        return conflict
 
     def _gap_verdicts(self) -> np.ndarray:
         """The verdict (label every member gives, or 0 in DIS) of each gap
@@ -415,10 +495,8 @@ class IntervalVersionSpace(_VersionSpace):
         run, spanning exactly that run's constraint points."""
         if self.is_empty():
             raise EmptyVersionSpaceError("empty version space")
-        starts, ends = _run_bounds(self.ys)
-        return IntervalUnion(
-            tuple(zip(self.xs[starts].tolist(), self.xs[ends].tolist()))
-        )
+        starts, ends = self._bounds
+        return IntervalUnion(tuple(zip(starts.tolist(), ends.tolist())))
 
 
 def _run_bounds(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -430,8 +508,19 @@ def _run_bounds(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def _count_runs(ys: np.ndarray) -> int:
-    return int(np.count_nonzero(_run_bounds(ys)[0]))
+def _moves_a_bound(
+    bounds: tuple[np.ndarray, np.ndarray], xs: np.ndarray, ys: np.ndarray
+) -> bool:
+    """Whether new constraint points can move a run bound or conflict.
+
+    A positive inside a closed run lands between two positives or repeats
+    one; a negative outside every closed run lands between negatives or
+    next to a run's outer end, or repeats a negative. Either way the runs
+    keep their bounds. Any other point may split a run, grow one, add one
+    or relabel a constraint."""
+    starts, ends = bounds
+    inside = ((xs[:, None] >= starts) & (xs[:, None] <= ends)).any(axis=1)
+    return bool((inside != (ys == POS)).any())
 
 
 class ThresholdVersionSpace(_VersionSpace):

@@ -32,6 +32,7 @@ import numpy as np
 from .hypotheses import (
     Hypothesis,
     LabeledExample,
+    Partition,
     VersionSpace,
     ball_radius_pair_distance,
     intersect_segments,
@@ -165,15 +166,31 @@ class DrawnExample(NamedTuple):
     shadow_y: int
 
 
-@dataclass(frozen=True, eq=False)
 class SalBatch:
     """n selective-sampling records as columns, one entry per draw in
-    draw order; the fields mean what ``DrawnExample``'s do. Shadow labels
-    are not drawn: their one reader, AA-LARCH, draws them itself."""
+    draw order; the fields mean what ``DrawnExample``'s do.
 
-    xs: np.ndarray
-    ys: np.ndarray
-    queried: np.ndarray
+    ``queried_ys`` holds the LABEL answers at ``xs[queried]``. ``ys``,
+    every draw's label with the inferred ones filled in from the
+    partition the batch was drawn against, is built the first time it is
+    read and then kept: CAL reads only the answers and never builds it,
+    SEABEL and the inner agnostic loop read it, and AA-LARCH takes the
+    inferred labels from its ``peek_sal``. Shadow labels are not drawn:
+    their one reader, AA-LARCH, draws them itself."""
+
+    def __init__(self, xs: np.ndarray, queried: np.ndarray,
+                 queried_ys: np.ndarray, partition: Partition):
+        self.xs, self.queried, self.queried_ys = xs, queried, queried_ys
+        self._partition = partition
+        self._ys: np.ndarray | None = None
+
+    @property
+    def ys(self) -> np.ndarray:
+        if self._ys is None:
+            ys = self._partition.classify(self.xs)[1]
+            ys[self.queried] = self.queried_ys
+            self._ys = ys
+        return self._ys
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -248,11 +265,13 @@ class OracleBundle:
         self, vs: VersionSpace, n: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(xs, ys, queried) of the next n selective-sampling steps
-        against vs, as ``sal_batch(vs, self, n)`` would return them. The
-        ledger, the transcript and every stream are left as they were:
-        the sampler and noise streams are restored after the read-ahead.
-        A ``Generator.random(n)`` call yields what n one-point calls
-        would, so any prefix of the peek is what a shorter batch draws."""
+        against vs: the columns of ``sal_batch(vs, self, n)``. Its one
+        caller, AA-LARCH, keeps every label of the steps it commits, so
+        the peek classifies every draw. The ledger, the transcript and
+        every stream are left as they were: the sampler and noise streams
+        are restored after the read-ahead. A ``Generator.random(n)`` call
+        yields what n one-point calls would, so any prefix of the peek is
+        what a shorter batch draws."""
         gens = (self._sampler_rng.bit_generator, self._noise_rng.bit_generator)
         saved = [g.state for g in gens]
         try:
@@ -454,10 +473,16 @@ def sal_batch(
 ) -> tuple[SalBatch, int]:
     """n selective-sampling steps against a fixed version space. One draw
     call, then LABEL on the DIS points: the sampler and noise streams
-    yield what n ``sal_step`` calls would get."""
+    yield what n ``sal_step`` calls would get. DIS membership comes from
+    ``Partition.in_dis``, and nothing is classified until the batch's
+    ``ys`` is read: CAL takes only the LABEL answers (``queried_ys``),
+    while SEABEL and the inner agnostic loop read ``ys``."""
     xs = bundle.draw(n)
-    queried, ys = vs.partition().classify(xs)
+    partition = vs.partition()
+    queried = partition.in_dis(xs)
     n_queried = int(np.count_nonzero(queried))
     if n_queried:
-        ys[queried] = bundle.label_query_batch(xs[queried])
-    return SalBatch(xs, ys, queried), n_queried
+        answers = bundle.label_query_batch(xs[queried])
+    else:
+        answers = np.empty(0, dtype=np.int8)
+    return SalBatch(xs, queried, answers, partition), n_queried

@@ -119,7 +119,8 @@ def run_cal(
         if vs.is_empty():
             return CalResult(examples, i - 1, vs, per_epoch)
         batch, n_queried = sal_batch(vs, bundle, 2**i)
-        xs, ys = batch.xs[batch.queried], batch.ys[batch.queried]
+        # only the LABEL answers: reading batch.ys would classify every draw
+        xs, ys = batch.xs[batch.queried], batch.queried_ys
         del batch  # the epoch's draws must not live through the next one's
         if n_queried:
             examples.extend(map(LabeledExample, xs.tolist(), ys.tolist()))

@@ -207,6 +207,61 @@ def test_pairs_and_arrays_build_the_same_space(trial):
     assert threshold_range(ta2) == threshold_range(tb2) == want_t
 
 
+def random_target(rng, grid):
+    """A union of at most two intervals with ends on the grid."""
+    ends = np.sort(rng.choice(grid, 2 * int(rng.integers(0, 3)), replace=False))
+    return hypotheses.IntervalUnion(tuple(zip(ends[0::2].tolist(), ends[1::2].tolist())))
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_growing_a_space_chunk_by_chunk(trial):
+    """Chunks of the target's labels, now and then flipped, on a coarse
+    grid: repeats, runs that grow, split and appear, and conflicts. After
+    every chunk the space equals the one built from all points at once."""
+    rng = np.random.default_rng(1100 + trial)
+    grid = np.linspace(0.0, 1.0, int(rng.integers(5, 40)))
+    target = random_target(rng, grid)
+    k = int(rng.integers(0, 4))
+    vs, pairs = IntervalVersionSpace(k), []
+    for _ in range(int(rng.integers(1, 15))):
+        xs = rng.choice(grid, int(rng.integers(0, 8)))
+        ys = np.array([predict(target, x) for x in xs.tolist()], dtype=np.int8)
+        ys[rng.random(len(xs)) < 0.05] *= -1
+        chunk = list(zip(xs.tolist(), ys.tolist()))
+        vs = vs.with_examples(chunk if rng.random() < 0.5 else (xs, ys))
+        pairs += chunk
+        whole = IntervalVersionSpace(k, pairs)
+        assert vs._runs == whole._runs and vs.is_empty() == whole.is_empty()
+        if whole._runs is not None:
+            assert [b.tolist() for b in vs._bounds] == [b.tolist() for b in whole._bounds]
+        if not whole.is_empty():
+            assert vs.canonical_member() == whole.canonical_member()
+        if rng.random() < 0.3:  # reading the constraints merges the queue
+            assert vs.xs.tolist() == whole.xs.tolist()
+            assert vs.ys.dtype == np.int8 and vs.ys.tolist() == whole.ys.tolist()
+            assert not vs._pending
+    want = dict_dedup(pairs)
+    assert vs.xs.tolist() == want[0].tolist() and vs.ys.tolist() == want[1].tolist()
+
+
+def test_still_runs_queue_their_chunks():
+    """Passive-baseline growth: once the run has its ends, a chunk is only
+    queued, and the queue merges into the same constraints."""
+    rng = np.random.default_rng(1200)
+    target = hypotheses.IntervalUnion(((0.4, 0.6),))
+    vs, chunks, queued = IntervalVersionSpace(1), [], 0
+    for _ in range(40):
+        xs = rng.random(64)
+        chunks.append((xs, hypotheses.predict_batch(target, xs)))
+        before = len(vs._pending)
+        vs = vs.with_examples(chunks[-1])
+        queued += len(vs._pending) == before + 1
+    assert queued > 20
+    whole = IntervalVersionSpace(1, tuple(np.concatenate(c) for c in zip(*chunks)))
+    assert vs.canonical_member() == whole.canonical_member()
+    assert vs.xs.tolist() == whole.xs.tolist() and vs.ys.tolist() == whole.ys.tolist()
+
+
 def test_conflict_survives_with_examples():
     vs = IntervalVersionSpace(1, [(0.5, 1), (0.5, -1)])
     assert vs.is_empty()
@@ -276,6 +331,7 @@ def test_merged_classify_matches_unmerged_on_random_verdicts(trial):
     want = unmerged_classify(parts, xs)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert got[1].dtype == np.int8
+    assert np.array_equal(Partition(*parts).in_dis(xs), want[0])
     assert Partition(*parts).dis_region() == unmerged_dis_region(parts)
 
 
@@ -284,6 +340,7 @@ def check_against_unmerged(vs, parts, rng):
     got = vs.partition().classify(xs)
     want = unmerged_classify(parts, xs)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(vs.partition().in_dis(xs), want[0])
     assert vs.partition().breaks is parts[0]  # SEARCH's candidates read these
     assert vs.dis_region() == unmerged_dis_region(parts)
 
@@ -293,6 +350,7 @@ def check_against_grid(vs, pool, points):
     pointwise predicates, each against the definitions over ``pool``."""
     in_dis, labels = vs.partition().classify(points)
     v_dis, v_labels = vs._verdicts(points)
+    assert np.array_equal(vs.partition().in_dis(points), in_dis)
     for x, d, lab, vd, vlab in zip(
         points.tolist(), in_dis.tolist(), labels.tolist(), v_dis.tolist(),
         v_labels.tolist(),
@@ -356,3 +414,107 @@ def test_masked_space_classify(captured, k, trial):
     check_against_unmerged(vs, captured[-1], rng)
     pool = gridref.survivors(gridref.grid_interval_hypotheses(k, r), s)
     check_against_grid(vs, pool, probes(vs.partition().breaks, rng))
+
+
+# ---------------------------------------------------------------------------
+# the DIS query
+# ---------------------------------------------------------------------------
+
+
+def degenerate_masked_space():
+    """The empty union and the one-point members [g, g] at three grid
+    points: they disagree only on those points, lone edges of verdict 0
+    between cells every survivor labels -1."""
+    cls = NestedClassSequence.enumerated_intervals(1, resolution=9).classes[1]
+    grid = cls.grid
+    members = [hypotheses.ALWAYS_NEGATIVE] + [
+        hypotheses.IntervalUnion(((g, g),)) for g in grid[[0, 3, 8]].tolist()
+    ]
+    mask = np.zeros(len(cls), dtype=bool)
+    mask[[cls.index_of(h) for h in members]] = True
+    return MaskedVersionSpace(cls, mask)
+
+
+def many_negatives_space():
+    xs = np.random.default_rng(800).random(300)
+    return IntervalVersionSpace(1, (xs, np.full(300, -1, dtype=np.int8)))
+
+
+DIS_CASES = {
+    # one span [0, 1] with a stop at every negative
+    "interval-negatives-only": (many_negatives_space, 1, 300),
+    "interval-one-run": (
+        lambda: IntervalVersionSpace(1, [(0.2, -1), (0.4, 1), (0.5, 1), (0.8, -1)]),
+        2, 4,
+    ),
+    "interval-two-runs-of-three": (
+        lambda: IntervalVersionSpace(
+            3, [(0.1, 1), (0.2, -1), (0.3, 1), (0.3000001, -1), (0.9, 1)]
+        ),
+        None, None,
+    ),
+    "interval-constraints-on-0-and-1": (
+        lambda: IntervalVersionSpace(2, [(0.0, 1), (0.5, -1), (1.0, 1)]), None, None,
+    ),
+    "interval-no-dis": (lambda: IntervalVersionSpace(0, [(0.5, -1)]), 0, 0),
+    "interval-all-dis": (lambda: IntervalVersionSpace(1), 1, 0),
+    "masked-degenerate-members": (degenerate_masked_space, 3, 0),
+    "masked-all-dis": (
+        lambda: MaskedVersionSpace(
+            NestedClassSequence.enumerated_intervals(1, resolution=9).classes[1]
+        ),
+        None, None,
+    ),
+    "masked-no-dis": (
+        lambda: MaskedVersionSpace(
+            NestedClassSequence.enumerated_intervals(1, resolution=9).classes[1],
+            np.arange(46) == 7,
+        ),
+        0, 0,
+    ),
+    # every member is positive at hi; the member w = lo only at a closed lo
+    "threshold-closed-closed": (lambda: ThresholdVersionSpace(0.3, 0.7, True, True), 1, 1),
+    "threshold-open-closed": (lambda: ThresholdVersionSpace(0.3, 0.7, False, True), 1, 2),
+    "threshold-closed-open": (lambda: ThresholdVersionSpace(0.3, 0.7, True, False), 1, 1),
+    "threshold-open-open": (lambda: ThresholdVersionSpace(0.3, 0.7, False, False), 1, 2),
+    "threshold-from-0-to-1": (lambda: ThresholdVersionSpace(0.0, 1.0, True, True), 1, 1),
+    "threshold-one-member": (lambda: ThresholdVersionSpace(0.4, 0.4, True, True), 0, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(DIS_CASES))
+def test_dis_query_follows_the_rule(case):
+    build, n_spans, n_stops = DIS_CASES[case]
+    vs = build()
+    part = vs.partition()
+    if n_spans is not None:
+        assert len(part._spans) == n_spans and len(part._stops) == n_stops
+    rng = np.random.default_rng(900)
+    constraints = getattr(vs, "xs", np.empty(0))
+    points = np.concatenate(
+        [probes(part.breaks, rng, 64), part._edges, constraints, [0.0, 1.0]]
+    )
+    got = part.in_dis(points)
+    assert got.dtype == bool and got.shape == points.shape
+    assert np.array_equal(got, vs._verdicts(points)[0])
+    assert np.array_equal(got, part.classify(points)[0])
+    if case == "masked-degenerate-members":
+        assert all(lo == hi for lo, hi in part._spans)
+    if case.endswith("-all-dis"):
+        assert got.all()
+    if case.endswith("-no-dis"):
+        assert not got.any() and not part.in_dis(rng.random(100)).any()
+
+
+@pytest.mark.parametrize("trial", range(30))
+def test_dis_query_on_random_interval_spaces(trial):
+    """Random labels on a coarse grid: many runs, spaces at and over k."""
+    rng = np.random.default_rng(1000 + trial)
+    xs, ys = random_examples(rng, int(rng.integers(0, 40)), np.linspace(0, 1, 17))
+    vs = IntervalVersionSpace(int(rng.integers(1, 6)), (xs, ys))
+    if vs.is_empty():
+        return
+    points = np.concatenate([probes(vs.partition().breaks, rng), vs.xs])
+    got = vs.partition().in_dis(points)
+    assert np.array_equal(got, vs._verdicts(points)[0])
+    assert np.array_equal(got, vs.partition().classify(points)[0])

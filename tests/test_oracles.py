@@ -314,6 +314,83 @@ class TestSal:
         assert np.any(shadow_ys[~q] != ys[~q])  # inferred: an independent draw
 
 
+def eager_sal_batch(vs, bundle, n):
+    """The eager reference for ``sal_batch``: classify every draw, then
+    LABEL the DIS points."""
+    xs = bundle.draw(n)
+    queried, ys = vs.partition().classify(xs)
+    if queried.any():
+        ys[queried] = bundle.label_query_batch(xs[queried])
+    return xs, ys, queried
+
+
+def bundle_state(bundle, transcript):
+    rngs = (bundle._sampler_rng, bundle._noise_rng, bundle._shadow_rng,
+            bundle._policy_rng)
+    return (events_to_jsonl(transcript), bundle.ledger.snapshot(),
+            [str(g.bit_generator.state) for g in rngs])
+
+
+LAZY_CASES = {
+    "interval": (lambda: IntervalVersionSpace(1, [(0.2, -1), (0.3, 1), (0.6, -1)]),
+                 IntervalUnion(((0.25, 0.45),))),
+    "interval-negatives-only": (
+        lambda: IntervalVersionSpace(1, [(x, -1) for x in np.linspace(0, 1, 41)]),
+        IntervalUnion(((0.45, 0.5),)),
+    ),
+    "threshold": (lambda: ThresholdVersionSpace(0.3, 0.7, False, True), Threshold(0.5)),
+    "masked": (
+        lambda: MaskedVersionSpace(
+            NestedClassSequence.enumerated_intervals(2, resolution=9).classes[2]
+        ).with_examples([(0.25, 1), (0.5, -1)]),
+        IntervalUnion(((0.125, 0.375),)),
+    ),
+}
+
+
+class TestLazySalBatch:
+    @pytest.mark.parametrize("noise", [None, NoiseModel("rcn", eta=0.2)])
+    @pytest.mark.parametrize("case", list(LAZY_CASES))
+    def test_matches_the_eager_classify_path(self, case, noise):
+        build, target = LAZY_CASES[case]
+        vs = build()
+        runs = []
+        for sample in (sal_batch, eager_sal_batch):
+            t: list = []
+            b = make_bundle(target, noise, seed=31, transcript=t)
+            out = sample(vs, b, 500)
+            runs.append((b, t, out, bundle_state(b, t)))
+        (b, t, (batch, n_queried), state), (b2, t2, (xs, ys, queried), want) = runs
+        assert state == want
+        assert n_queried == int(queried.sum()) > 0
+        # DIS is all of [0, 1] but the constraint points before a positive
+        assert (n_queried == 500) == (case == "interval-negatives-only")
+        assert np.array_equal(batch.xs, xs) and len(batch) == 500
+        assert np.array_equal(batch.queried, queried)
+        assert np.array_equal(batch.queried_ys, ys[queried])
+        assert batch._ys is None  # nothing classified yet
+        # more draws on the same bundle change neither the labels nor,
+        # once read, the streams
+        sal_batch(vs, b, 64)
+        eager_sal_batch(vs, b2, 64)
+        before = bundle_state(b, t)
+        first = batch.ys
+        assert bundle_state(b, t) == before == bundle_state(b2, t2)
+        assert first.dtype == np.int8 and np.array_equal(first, ys)
+        again = batch.ys
+        assert again is first and np.array_equal(again, ys)
+
+    def test_no_dis_labels_nothing(self):
+        vs = ThresholdVersionSpace(0.4, 0.4, True, True)
+        t: list = []
+        b = make_bundle(Threshold(0.4), transcript=t)
+        batch, n_queried = sal_batch(vs, b, 100)
+        assert n_queried == 0 and not batch.queried.any()
+        assert len(batch.queried_ys) == 0 and b.ledger.label_queries == 0
+        assert [e.event for e in t] == ["draw"]
+        assert np.array_equal(batch.ys, predict_batch(Threshold(0.4), batch.xs))
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_transcripts(self):
         def run(seed):
