@@ -104,19 +104,22 @@ def run_al(
         m = 2**i
         batch, _ = sal_batch(vs, bundle, m)
         idx = vs.survivor_indices()
-        counts = vs.cls.err_counts(batch.xs, batch.ys, idx)
+        whole = len(idx) == len(vs.cls)  # no gather while nothing is pruned
+        counts = vs.cls.err_counts(batch.xs, batch.ys, None if whole else idx)
         best_local = int(np.argmin(counts))
         hhat_index = int(idx[best_local])
         b = counts[best_local] / m  # exact: power-of-two denominator
         gamma_prev = float(gamma(vs))
         s = sigma(d, m, delta_schedule(delta, i))
         ball = b + 3.0 * math.sqrt(b * s) + 4.0 * s
+        keep = counts / m <= ball
+        survivors = int(np.count_nonzero(keep))
         new_mask = np.zeros(len(vs.cls), dtype=bool)
-        new_mask[idx] = counts / m <= ball
+        new_mask[idx] = keep
         row = event(
             "al-epoch", bundle.ledger, k=vs.k, i=i, empirical_error=b,
             gamma_prev=gamma_prev, sigma_value=s,
-            survivors=int(new_mask.sum()), outcome="continue",
+            survivors=survivors, outcome="continue",
         )
         trace.append(row)
         masks.append(new_mask)
@@ -128,10 +131,13 @@ def run_al(
         if b + math.sqrt(b * s) + s <= gamma_prev + epsilon:
             row.outcome = "success"
             return AlOutcome(vs, hhat, hhat_index, i, "success", trace, masks)
-        vs = vs.replace_mask(new_mask)
-        if vs.is_empty():
+        if survivors == 0:
             # cannot happen: the ball always contains the minimizer
             raise AssertionError("pruning emptied the version space")
+        # new_mask lies inside vs.mask, so a prune that kept every survivor
+        # left it unchanged: keep vs and the partition it has cached
+        if survivors < len(idx):
+            vs = vs.replace_mask(new_mask)
     raise RuntimeError(
         f"inner loop passed its defensive epoch cap ({cap}); "
         "check epsilon/delta/gamma consistency"

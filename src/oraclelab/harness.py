@@ -298,7 +298,9 @@ def build_noise(config: ExperimentConfig) -> NoiseModel:
 
 
 def build_sequence(config: ExperimentConfig) -> NestedClassSequence:
-    """The nested classes of an interval family (``ALGORITHMS``)."""
+    """The nested classes of an interval family (``ALGORITHMS``). An
+    enumerated sequence is built once per process for each (k_max,
+    resolution) and shared by every cell that asks for it."""
     if config.family == "intervals-exact":
         return NestedClassSequence.exact_intervals(config.k_max)
     return NestedClassSequence.enumerated_intervals(
@@ -415,20 +417,24 @@ def _run_passive(config, bundle, epsilon) -> tuple:
     """Label every draw, keep the canonical minimal consistent hypothesis
     (one closed interval per maximal positive run), stop once its exact
     error reaches epsilon (the harness may consult the exact error; it is
-    the simulation's measurement device)."""
+    the simulation's measurement device). Most chunks leave the hypothesis
+    as it was, and its error is measured again only when it changed."""
     d = 2 * max(config.k_max, 1)
     cap = 4 * sample_size_cap(d, epsilon, config.delta)
     vs = IntervalVersionSpace(config.k_max)  # the sample so far
     h = vs.canonical_member()
+    err = bundle.exact_error(h)
     steps = 0
     chunk = 64
-    while bundle.exact_error(h) > epsilon and steps < cap:
+    while err > epsilon and steps < cap:
         xs = bundle.draw(chunk)
         vs = vs.with_examples((xs, bundle.label_query_batch(xs)))
         steps += chunk
         if vs.is_empty():
             raise RuntimeError("passive baseline needs realizable labels")
-        h = vs.canonical_member()
+        grown = vs.canonical_member()
+        if grown != h:
+            h, err = grown, bundle.exact_error(grown)
     return h, steps
 
 

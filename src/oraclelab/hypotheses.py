@@ -22,7 +22,7 @@ Labels are +1 / -1. The instance distribution is uniform on [0,1].
 from __future__ import annotations
 
 import copy
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -634,6 +634,10 @@ class EnumeratedClass:
                 f"{class_id}: real slots must be sorted, disjoint intervals "
                 "in [0,1] ahead of the empty ones"
             )
+        # a class is shared data (see NestedClassSequence.enumerated_intervals):
+        # an in-place write raises instead of changing it under its users
+        for a in (grid, lo, hi, self._probe):
+            a.setflags(write=False)
         self._table: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -688,6 +692,7 @@ class EnumeratedClass:
             table = np.zeros((len(c), len(self)), dtype=bool)
             for s in range(self._lo.shape[1]):
                 table |= (c >= self._lo[:, s]) & (c <= self._hi[:, s])
+            table.setflags(write=False)
             self._table = table
         return self._table
 
@@ -711,18 +716,29 @@ class EnumeratedClass:
         A member errs on the positives outside its slots and the negatives
         inside them, so its count is #positives plus, per slot, the
         (negatives - positives) balance of the slot's code range: a
-        difference of two prefix sums over the per-code histogram.
+        difference of two prefix sums over the per-code histogram. The
+        sums run one slot column at a time, gathering only the selected
+        members' codes of that column; ``indices=None`` selects every
+        member and gathers nothing.
         """
         codes = self.codes(np.asarray(xs, dtype=np.float64))
         y_pos = np.asarray(ys) == POS
         balance = np.bincount(codes[~y_pos], minlength=self._n_codes) - np.bincount(
             codes[y_pos], minlength=self._n_codes
         )
-        prefix = np.concatenate(([0], np.cumsum(balance)))
-        lo, hi = self._lo, self._hi
-        if indices is not None:
-            lo, hi = lo[indices], hi[indices]
-        return int(y_pos.sum()) + (prefix[hi + 1] - prefix[lo]).sum(axis=1)
+        # prefix[c] sums the codes below c; through end = prefix[1:] an
+        # unused slot's hi = -1 reads the trailing 0, as its lo = 0 does
+        prefix = np.concatenate(([0], np.cumsum(balance), [0]))
+        end = prefix[1:]
+        n = len(self) if indices is None else len(indices)
+        counts = np.full(n, int(y_pos.sum()), dtype=prefix.dtype)
+        for s in range(self._lo.shape[1]):
+            lo, hi = self._lo[:, s], self._hi[:, s]
+            if indices is not None:
+                lo, hi = lo[indices], hi[indices]
+            counts += end[hi]
+            counts -= prefix[lo]
+        return counts
 
     def consistent_mask(self, examples: Examples) -> np.ndarray:
         xs, ys = as_arrays(examples)
@@ -882,23 +898,12 @@ class NestedClassSequence:
     def enumerated_intervals(
         cls, K_max: int, resolution: int = 21
     ) -> "NestedClassSequence":
-        # class size grows like resolution^(2k); 21 points keep the k=2,3
-        # unions enumerable (thousands to ~100k rows), finer grids are for
-        # single-interval or threshold classes
-        grid = np.linspace(0.0, 1.0, resolution)
-        dims = {k: (0 if k == 0 else 2 * k) for k in range(K_max + 1)}
-        slots = max(K_max, 1)
-        blocks = [
-            _exact_k_interval_rows(resolution, k, slots) for k in range(K_max + 1)
-        ]
-        lo, hi = np.concatenate(blocks, axis=1)
-        top = EnumeratedClass(f"intervals_k{K_max}", K_max, dims[K_max], grid, lo, hi)
-        sizes = np.cumsum([b.shape[1] for b in blocks])
-        classes = [
-            top.prefix(int(sizes[k]), f"intervals_k{k}", k, dims[k])
-            for k in range(K_max)
-        ] + [top]
-        return cls("enumerated", K_max, dims, classes, grid)
+        """The nested interval classes on ``np.linspace(0, 1, resolution)``.
+
+        Built once per process for each (K_max, resolution) and shared by
+        every caller (``_shared_enumerated_intervals``); its arrays are
+        read-only. ``_enumerated_intervals`` builds a fresh one."""
+        return _shared_enumerated_intervals(K_max, resolution)
 
     @classmethod
     def threshold_grid(cls, resolution: int = 201) -> EnumeratedClass:
@@ -945,6 +950,53 @@ class NestedClassSequence:
         )
 
 
+def _enumerated_intervals(K_max: int, resolution: int) -> NestedClassSequence:
+    # class size grows like resolution^(2k); 21 points keep the k=2,3
+    # unions enumerable (thousands to ~100k rows), finer grids are for
+    # single-interval or threshold classes
+    grid = np.linspace(0.0, 1.0, resolution)
+    dims = {k: (0 if k == 0 else 2 * k) for k in range(K_max + 1)}
+    slots = max(K_max, 1)
+    blocks = [_exact_k_interval_rows(resolution, k, slots) for k in range(K_max + 1)]
+    lo, hi = np.concatenate(blocks, axis=1)
+    top = EnumeratedClass(f"intervals_k{K_max}", K_max, dims[K_max], grid, lo, hi)
+    sizes = np.cumsum([b.shape[1] for b in blocks])
+    classes = [
+        top.prefix(int(sizes[k]), f"intervals_k{k}", k, dims[k])
+        for k in range(K_max)
+    ] + [top]
+    return NestedClassSequence("enumerated", K_max, dims, classes, grid)
+
+
+# A sequence is pure data, and every cell of a config asks for the same
+# one. The bound keeps memory flat when many keys pass through (validate
+# draws ten): the k=3, r=21 sequence alone keeps 13.5 MB alive once its
+# classes have built their tables.
+_shared_enumerated_intervals = functools.lru_cache(maxsize=4)(_enumerated_intervals)
+
+
+def _combinations(n: int, m: int) -> np.ndarray:
+    """All m-combinations of range(n), as rows of a (comb(n, m), m)
+    array in lexicographic order (the order of ``itertools.combinations``).
+
+    Built column by column: each row of the first j columns, whose next
+    value can run from one above its last value up to n - m + j, repeats
+    once per such value, and the new column counts up within its block.
+    """
+    if m > n:
+        return np.zeros((0, m), dtype=np.intp)
+    cols: list[np.ndarray] = []
+    for j in range(m):
+        first = cols[-1] + 1 if cols else np.zeros(1, dtype=np.intp)
+        reps = n - m + j + 1 - first
+        block_start = np.cumsum(reps) - reps
+        cols = [np.repeat(c, reps) for c in cols]
+        cols.append(np.arange(int(reps.sum())) + np.repeat(first - block_start, reps))
+    if not cols:
+        return np.zeros((1, 0), dtype=np.intp)
+    return np.stack(cols, axis=1)
+
+
 def _exact_k_interval_rows(r: int, k: int, slots: int) -> np.ndarray:
     """All unions of exactly k disjoint nonempty closed intervals on a grid
     of r points (for k = 0, the one empty union), in lexicographic order
@@ -953,12 +1005,11 @@ def _exact_k_interval_rows(r: int, k: int, slots: int) -> np.ndarray:
 
     Indices a1 <= b1 < a2 <= b2 < ... <= bk in range(r) map one to one,
     order preserving, onto the strictly increasing 2k-tuples
-    (a1, b1+1, a2+1, b2+2, ..., bk+k) in range(r+k): the 2k-combinations,
-    which itertools emits in lexicographic order.
+    (a1, b1+1, a2+1, b2+2, ..., bk+k) in range(r+k): the 2k-combinations
+    in lexicographic order.
     """
-    n = math.comb(r + k, 2 * k)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(r + k), 2 * k))
-    shifted = np.fromiter(flat, dtype=np.intp, count=2 * k * n).reshape(n, 2 * k)
+    shifted = _combinations(r + k, 2 * k)
+    n = len(shifted)
     codes = 2 * (shifted - (np.arange(2 * k) + 1) // 2) + 1
     out = np.empty((2, n, slots), dtype=np.intp)
     out[0], out[1] = 0, -1  # unused slots: the empty range 0..-1

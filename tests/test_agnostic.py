@@ -169,3 +169,72 @@ class TestRunAlarch:
         idx = self.seq.classes[rounds[-1].k].index_of(self.target)
         assert idx is not None
         assert final.epoch_masks and all(m[idx] for m in final.epoch_masks)
+
+
+def replace_every_epoch_run_al(h_class, bundle, gamma, epsilon, delta):
+    """The inner loop as it ran before it kept unchanged version spaces:
+    every epoch counts the survivors by index and builds a new space from
+    its pruned mask. Returns (reason, hhat index, trace, epoch masks)."""
+    import math
+
+    from oraclelab.agnostic import _epoch_cap
+    from oraclelab.bounds import delta_schedule, sigma
+    from oraclelab.oracles import event, sal_batch
+
+    vs, trace, masks = h_class, [], []
+    for i in range(1, _epoch_cap(vs.vc_dim, bundle.noise.nu, epsilon, delta) + 1):
+        m = 2**i
+        batch, _ = sal_batch(vs, bundle, m)
+        idx = vs.survivor_indices()
+        counts = vs.cls.err_counts(batch.xs, batch.ys, idx)
+        best = int(np.argmin(counts))
+        b = counts[best] / m
+        g = float(gamma(vs))
+        s = sigma(vs.vc_dim, m, delta_schedule(delta, i))
+        new_mask = np.zeros(len(vs.cls), dtype=bool)
+        new_mask[idx] = counts / m <= b + 3.0 * math.sqrt(b * s) + 4.0 * s
+        row = event("al-epoch", bundle.ledger, k=vs.k, i=i, empirical_error=b,
+                    gamma_prev=g, sigma_value=s,
+                    survivors=int(new_mask.sum()), outcome="continue")
+        trace.append(row)
+        masks.append(new_mask)
+        if b > g + math.sqrt(g * s) + s:
+            row.outcome = "early-reject"
+        elif b + math.sqrt(b * s) + s <= g + epsilon:
+            row.outcome = "success"
+        if row.outcome != "continue":
+            return row.outcome, int(idx[best]), trace, masks
+        vs = vs.replace_mask(new_mask)
+    raise AssertionError("reference passed the epoch cap")
+
+
+class TestKeptVersionSpace:
+    """run_al keeps its space when a prune removes nobody; every record,
+    mask and oracle call stays that of a loop that replaces it each epoch."""
+
+    def test_matches_replacing_every_epoch(self):
+        seq = NestedClassSequence.enumerated_intervals(2, resolution=21)
+        g = seq.grid
+        target = IntervalUnion(((g[3], g[7]), (g[12], g[17])))
+        kept_epochs = 0
+        cases = [(seq.classes[k], target, gamma) for k in (1, 2)
+                 for gamma in (ConstantGamma(ETA), RcnGamma(ETA))]
+        # pruned threshold spaces shrink DIS, so a stale space would
+        # query other points
+        cases.append((NestedClassSequence.threshold_grid(41), Threshold(0.5),
+                      ConstantGamma(ETA)))
+        for cls, h_star, gamma in cases:
+            for seed in range(4):
+                start = MaskedVersionSpace(cls)
+                b, b_ref = rcn_bundle(h_star, seed), rcn_bundle(h_star, seed)
+                out = run_al(start, b, gamma, 0.05, 0.1)
+                reason, hhat, trace, masks = replace_every_epoch_run_al(
+                    start, b_ref, gamma, 0.05, 0.1)
+                assert (out.reason, out.hypothesis_index) == (reason, hhat)
+                assert [vars(r) for r in out.trace] == [vars(r) for r in trace]
+                assert len(out.epoch_masks) == len(masks)
+                assert all(np.array_equal(a, c) for a, c in zip(out.epoch_masks, masks))
+                assert b.ledger == b_ref.ledger
+                survivors = [len(cls)] + [r.survivors for r in trace]
+                kept_epochs += sum(a == c for a, c in zip(survivors, survivors[1:-1]))
+        assert kept_epochs > 0  # the kept-space path ran

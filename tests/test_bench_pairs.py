@@ -1,0 +1,60 @@
+"""The pair runner's summary, on canned numbers (no benchmark run)."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", PATH)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+BETTER = {"cells_per_s": "higher", "cell_p50_ms": "lower"}
+
+
+def pairs(parent_rate, change_rate, parent_ms, change_ms):
+    return [
+        {"parent": {"cells_per_s": pr, "cell_p50_ms": pm},
+         "change": {"cells_per_s": cr, "cell_p50_ms": cm}}
+        for pr, cr, pm, cm in zip(parent_rate, change_rate, parent_ms, change_ms)
+    ]
+
+
+def test_quartiles_inclusive():
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert bench_pairs.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_summary_counts_wins_in_each_metric_direction():
+    s = bench_pairs.summarize(pairs(
+        parent_rate=[8.0, 7.0, 9.0, 8.0, 6.0],
+        change_rate=[25.0, 26.0, 8.0, 30.0, 24.0],
+        parent_ms=[100.0, 110.0, 90.0, 95.0, 105.0],
+        change_ms=[15.0, 16.0, 95.0, 14.0, 105.0],
+    ), BETTER)
+    rate, ms = s["cells_per_s"], s["cell_p50_ms"]
+    assert rate["parent"] == {"median": 8.0, "q1": 7.0, "q3": 8.0}
+    assert rate["change"] == {"median": 25.0, "q1": 24.0, "q3": 26.0}
+    assert (rate["change_won"], rate["pairs"]) == (4, 5)  # seed 3 lost
+    assert rate["change_over_parent"] == pytest.approx(25.0 / 8.0)
+    assert rate["beyond_parent_iqr"]
+    # lower is better; the tie at 105 counts for neither side
+    assert ms["change_won"] == 3
+    assert ms["change"]["median"] == 16.0 and ms["beyond_parent_iqr"]
+
+
+def test_summary_no_gain_inside_the_parent_spread():
+    s = bench_pairs.summarize(pairs(
+        parent_rate=[5.0, 7.0, 6.0, 8.0],
+        change_rate=[6.5, 7.5, 7.0, 7.0],
+        parent_ms=[1.0] * 4, change_ms=[1.0] * 4,
+    ), BETTER)
+    rate = s["cells_per_s"]
+    assert rate["change_won"] == 3
+    assert not rate["beyond_parent_iqr"]  # +0.5 against an IQR of 1.5
+    assert s["cell_p50_ms"]["change_won"] == 0
+    assert not s["cell_p50_ms"]["beyond_parent_iqr"]

@@ -10,6 +10,9 @@ which no point in [0,1] reaches.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from oraclelab.hypotheses import (
     IntervalUnion,
     NestedClassSequence,
     Threshold,
+    _combinations,
     _exact_k_interval_rows,
     predict,
 )
@@ -197,6 +201,23 @@ def test_enumeration_matches_recursive_order(r, k):
     grid = np.linspace(0.0, 1.0, r)
     lo, hi = _exact_k_interval_rows(r, k, 3)
     assert np.array_equal(code_floats(grid, lo, hi), recursive_rows(grid, k, 3))
+
+
+@pytest.mark.parametrize("n,m", [(24, 6), (23, 4), (10, 4), (42, 2), (4, 6), (5, 0)])
+def test_combinations_match_itertools(n, m):
+    """The column-by-column generator emits itertools' order; (42, 2) is
+    the k=1 block at r=41, (24, 6) the k=3 block at r=21."""
+    want = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
+    got = _combinations(n, m)
+    assert got.shape == (math.comb(n, m), m)
+    assert np.array_equal(got, want.reshape(got.shape))
+
+
+def test_k1_block_at_r41_matches_itertools():
+    lo, hi = _exact_k_interval_rows(41, 1, 1)
+    pairs = [(a, b - 1) for a, b in itertools.combinations(range(42), 2)]
+    assert np.array_equal(lo[:, 0], [2 * a + 1 for a, _ in pairs])
+    assert np.array_equal(hi[:, 0], [2 * b + 1 for _, b in pairs])
 
 
 @pytest.mark.parametrize("r", range(1, 10))

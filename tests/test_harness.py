@@ -12,6 +12,8 @@ from oraclelab.harness import (
     ConfigError,
     ExperimentConfig,
     ResultRow,
+    _cal_start_space,
+    build_sequence,
     build_target,
     rows_to_csv,
     run_cell,
@@ -21,7 +23,7 @@ from oraclelab.harness import (
 )
 from oraclelab.hypotheses import LabeledExample
 from oraclelab.oracles import OracleBundle
-from oraclelab import cli
+from oraclelab import cli, hypotheses
 
 
 def small_larch_config(**kw):
@@ -167,6 +169,48 @@ class TestRunExperiment:
         )
         cfg.validate()
         assert isinstance(run_cell(cfg, seed=0, epsilon=0.1), ResultRow)
+
+
+class TestSharedSequence:
+    """An enumerated sequence is built once per (k_max, resolution)."""
+
+    def enumerated(self, **kw):
+        base = dict(
+            algorithm="alarch", family="intervals-enumerated", k_max=2,
+            resolution=13, noise={"kind": "rcn", "eta": 0.1},
+            target={"type": "interval_union", "intervals": [[0.3, 0.6]]},
+        )
+        base.update(kw)
+        return small_larch_config(**base)
+
+    def test_same_key_same_object(self):
+        seq = build_sequence(self.enumerated())
+        others = [
+            self.enumerated(seeds=[5, 6, 7]),
+            self.enumerated(target={"type": "interval_union",
+                                    "intervals": [[0.1, 0.2], [0.5, 0.9]]}),
+            self.enumerated(algorithm="aalarch", tau=4.0),
+            self.enumerated(algorithm="al", epsilons=[0.2]),
+        ]
+        for cfg in others:
+            cfg.validate()
+            assert build_sequence(cfg) is seq
+        # the inner agnostic loop's start space is the shared top class
+        start = _cal_start_space(self.enumerated(algorithm="al"))
+        assert start.cls is seq.classes[2]
+
+    def test_other_key_other_object(self):
+        seq = build_sequence(self.enumerated())
+        assert build_sequence(self.enumerated(k_max=1)) is not seq
+        assert build_sequence(self.enumerated(resolution=15)) is not seq
+
+    def test_memo_is_bounded(self):
+        memo = hypotheses._shared_enumerated_intervals
+        bound = memo.cache_info().maxsize
+        assert bound is not None and bound <= 8
+        for r in range(5, 5 + 2 * bound):
+            build_sequence(self.enumerated(k_max=1, resolution=r))
+        assert memo.cache_info().currsize == bound
 
 
 class TestValidateAgainstBruteforce:

@@ -27,6 +27,7 @@ from oraclelab.hypotheses import (
 )
 
 import gridref
+from oraclelab import hypotheses as hyp
 
 THREE_POINTS = [(0.2, 1), (0.4, -1), (0.6, 1)]
 
@@ -426,6 +427,79 @@ class TestNestedSequence:
         cls = NestedClassSequence.threshold_grid(101)
         assert len(cls) == 101
         assert cls.hypothesis(50) == Threshold(0.5)
+
+
+class TestSharedSequence:
+    def test_one_build_per_key(self):
+        a = NestedClassSequence.enumerated_intervals(2, resolution=9)
+        assert NestedClassSequence.enumerated_intervals(2, 9) is a
+        assert NestedClassSequence.enumerated_intervals(2, resolution=11) is not a
+        assert NestedClassSequence.enumerated_intervals(1, resolution=9) is not a
+
+    def test_shared_arrays_are_read_only(self):
+        seq = NestedClassSequence.enumerated_intervals(2, resolution=9)
+        top = seq.classes[2]
+        for cls in seq.classes:
+            cls.table()
+        writes = [
+            lambda: seq.grid.__setitem__(0, 0.5),
+            lambda: top._lo.__setitem__((1, 0), 3),
+            lambda: top._hi.__setitem__((1, 0), 3),
+            lambda: seq.classes[1]._lo.__setitem__((1, 0), 3),
+            lambda: top.table().__setitem__((0, 0), True),
+            lambda: seq.classes[0].table().__setitem__((0, 0), True),
+        ]
+        for write in writes:
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        fresh = hyp._enumerated_intervals(2, 9)
+        assert fresh is not seq
+        assert all(
+            np.array_equal(a._lo, b._lo) and np.array_equal(a.table(), b.table())
+            for a, b in zip(fresh.classes, seq.classes)
+        )
+
+    def test_cache_clear_rebuilds(self):
+        a = NestedClassSequence.enumerated_intervals(1, resolution=7)
+        hyp._shared_enumerated_intervals.cache_clear()
+        b = NestedClassSequence.enumerated_intervals(1, resolution=7)
+        assert b is not a and np.array_equal(a.classes[1]._hi, b.classes[1]._hi)
+
+
+class TestErrCountsPerSlot:
+    """Slot-by-slot error counts equal counts read off the predictions."""
+
+    def check(self, cls, rng):
+        grid = cls.grid
+        for m in (0, 1, 7, 300):
+            # half the points on the grid, where the point codes are
+            xs = np.where(rng.random(m) < 0.5, rng.random(m),
+                          grid[rng.integers(len(grid), size=m)])
+            ys = rng.choice([-1, 1], size=m)
+            wrong = cls.predictions(xs) != (ys == 1)[None, :]
+            want = wrong.sum(axis=1)
+            sparse = np.sort(rng.choice(len(cls), size=len(cls) // 7 + 1,
+                                        replace=False))
+            sparse[0] = 0  # the k=0 member, with every slot unused
+            for indices in (None, np.arange(len(cls)), sparse,
+                            np.array([], dtype=np.intp), sparse[::-1]):
+                got = cls.err_counts(xs, ys, indices)
+                sel = slice(None) if indices is None else indices
+                assert got.shape == want[sel].shape
+                assert np.array_equal(got, want[sel])
+
+    def test_intervals_with_unused_slots(self):
+        rng = np.random.default_rng(41)
+        seq = NestedClassSequence.enumerated_intervals(3, resolution=7)
+        top = seq.classes[3]
+        # members below the k=3 block leave some of the three slots unused
+        assert (top._lo[: len(seq.classes[2])] == 0).any(axis=1).all()
+        for cls in seq.classes:
+            self.check(cls, rng)
+
+    def test_thresholds(self):
+        self.check(NestedClassSequence.threshold_grid(17),
+                   np.random.default_rng(42))
 
 
 class TestJsonSchema:
