@@ -615,6 +615,7 @@ class EnumeratedClass:
         self.kind = kind
         # grid plus +inf: defined at every index searchsorted can return
         self._probe = np.append(grid, np.inf)
+        self._probe.setflags(write=False)  # shared with every prefix
         self._n_codes = n_codes = 2 * len(grid) + 1
         self._lo, self._hi = lo, hi
         real = lo > 0
@@ -634,10 +635,6 @@ class EnumeratedClass:
                 f"{class_id}: real slots must be sorted, disjoint intervals "
                 "in [0,1] ahead of the empty ones"
             )
-        # a class is shared data (see NestedClassSequence.enumerated_intervals):
-        # an in-place write raises instead of changing it under its users
-        for a in (grid, lo, hi, self._probe):
-            a.setflags(write=False)
         self._table: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -901,9 +898,8 @@ class NestedClassSequence:
         """The nested interval classes on ``np.linspace(0, 1, resolution)``.
 
         Built once per process for each (K_max, resolution) and shared by
-        every caller (``_shared_enumerated_intervals``); its arrays are
-        read-only. ``_enumerated_intervals`` builds a fresh one."""
-        return _shared_enumerated_intervals(K_max, resolution)
+        every caller (``_enumerated_intervals``); its arrays are read-only."""
+        return _enumerated_intervals(K_max, resolution)
 
     @classmethod
     def threshold_grid(cls, resolution: int = 201) -> EnumeratedClass:
@@ -950,6 +946,11 @@ class NestedClassSequence:
         )
 
 
+# A sequence is pure data, and every cell of a config asks for the same
+# one. The bound keeps memory flat when many keys pass through (validate
+# draws ten): the k=3, r=21 sequence alone keeps 13.5 MB alive once its
+# classes have built their tables. ``__wrapped__`` builds a fresh one.
+@functools.lru_cache(maxsize=4)
 def _enumerated_intervals(K_max: int, resolution: int) -> NestedClassSequence:
     # class size grows like resolution^(2k); 21 points keep the k=2,3
     # unions enumerable (thousands to ~100k rows), finer grids are for
@@ -959,6 +960,11 @@ def _enumerated_intervals(K_max: int, resolution: int) -> NestedClassSequence:
     slots = max(K_max, 1)
     blocks = [_exact_k_interval_rows(resolution, k, slots) for k in range(K_max + 1)]
     lo, hi = np.concatenate(blocks, axis=1)
+    # the sequence is shared: an in-place write raises instead of changing
+    # it under later cells (the prefixes are views, the tables freeze as
+    # they are built)
+    for a in (grid, lo, hi):
+        a.setflags(write=False)
     top = EnumeratedClass(f"intervals_k{K_max}", K_max, dims[K_max], grid, lo, hi)
     sizes = np.cumsum([b.shape[1] for b in blocks])
     classes = [
@@ -967,12 +973,6 @@ def _enumerated_intervals(K_max: int, resolution: int) -> NestedClassSequence:
     ] + [top]
     return NestedClassSequence("enumerated", K_max, dims, classes, grid)
 
-
-# A sequence is pure data, and every cell of a config asks for the same
-# one. The bound keeps memory flat when many keys pass through (validate
-# draws ten): the k=3, r=21 sequence alone keeps 13.5 MB alive once its
-# classes have built their tables.
-_shared_enumerated_intervals = functools.lru_cache(maxsize=4)(_enumerated_intervals)
 
 
 def _combinations(n: int, m: int) -> np.ndarray:

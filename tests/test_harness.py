@@ -205,7 +205,7 @@ class TestSharedSequence:
         assert build_sequence(self.enumerated(resolution=15)) is not seq
 
     def test_memo_is_bounded(self):
-        memo = hypotheses._shared_enumerated_intervals
+        memo = hypotheses._enumerated_intervals
         bound = memo.cache_info().maxsize
         assert bound is not None and bound <= 8
         for r in range(5, 5 + 2 * bound):

@@ -452,16 +452,22 @@ class TestSharedSequence:
         for write in writes:
             with pytest.raises(ValueError, match="read-only"):
                 write()
-        fresh = hyp._enumerated_intervals(2, 9)
+        fresh = hyp._enumerated_intervals.__wrapped__(2, 9)
         assert fresh is not seq
         assert all(
             np.array_equal(a._lo, b._lo) and np.array_equal(a.table(), b.table())
             for a, b in zip(fresh.classes, seq.classes)
         )
 
+    def test_unshared_class_leaves_caller_arrays_writable(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        lo, hi = np.array([[0], [3]]), np.array([[-1], [5]])
+        hyp.EnumeratedClass("c", 1, 2, grid, lo, hi)
+        assert grid.flags.writeable and lo.flags.writeable and hi.flags.writeable
+
     def test_cache_clear_rebuilds(self):
         a = NestedClassSequence.enumerated_intervals(1, resolution=7)
-        hyp._shared_enumerated_intervals.cache_clear()
+        hyp._enumerated_intervals.cache_clear()
         b = NestedClassSequence.enumerated_intervals(1, resolution=7)
         assert b is not a and np.array_equal(a.classes[1]._hi, b.classes[1]._hi)
 

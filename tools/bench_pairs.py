@@ -2,13 +2,13 @@
 ``BENCH_<label>.json``.
 
   python3 tools/bench_pairs.py --parent REV --label L --pairs N \
-      [--workload W ...] [--first-seed S]
+      [--workload W ...]
 
 Run from the root of a checkout: the change side is this checkout's
 working tree, the parent side ``git archive REV`` unpacked into a
 temporary directory. For each workload (all of BENCHMARK.json's by
 default) and each pair, ``perfbench/run.py --trace 0`` runs once on
-each side, for BENCHMARK.json's ``run_seconds``, at seed first-seed +
+each side, for BENCHMARK.json's ``run_seconds``, at seed FIRST_SEED +
 pair index. The side that runs first alternates from pair to pair, so a
 drift of the host over the session falls on both sides alike. Only paired runs in one session can
 back a claim: the same code can run twice as fast on another day.
@@ -18,11 +18,12 @@ quartiles, the number of pairs the change won (strictly better, in the
 direction BENCHMARK.json gives) and whether the change's median beats
 the parent's by more than the parent's interquartile range.
 
-Per workload, it also times one cell of the largest class the workload
-uses (first cell with the largest ``k_max``) in fresh processes: the
-first run of that cell in the process and a second run of the same cell
-right after. A cache that lives for the process shows as a gap between
-the two; a faster enumeration shows in the first alone.
+Per workload with enumerated classes, it also times one cell of the
+largest enumerated class the workload uses (the first
+``intervals-enumerated`` cell with the largest ``k_max``) in fresh
+processes: the first run of that cell in the process and a second run of
+the same cell right after. A cache that lives for the process shows as a
+gap between the two; a faster enumeration shows in the first alone.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FIRST_SEED = 11  # digests.json pins seeds 0-10
 FIRST_CELL_RUNS = 3  # fresh processes per side
 
 # CPU time of the first and of the second run of one cell, in a fresh
@@ -47,7 +49,11 @@ import sys, time
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
 from workloads import make_passes
 from oraclelab.harness import run_cell
-cells = make_passes(sys.argv[2], int(sys.argv[3]))[0]
+cells = [c for c in make_passes(sys.argv[2], int(sys.argv[3]))[0]
+         if c.config.family == "intervals-enumerated"]
+if not cells:
+    print("none")
+    sys.exit()
 cell = max(cells, key=lambda c: c.config.k_max)
 times = []
 for _ in range(2):
@@ -121,12 +127,37 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in last["metrics"].items()}}
 
 
-def first_cell(root: Path, workload: str, seed: int) -> dict:
+def first_cell(root: Path, workload: str, seed: int) -> dict | None:
+    """CPU s of the first and second run of the workload's largest
+    enumerated cell, or None if it has no enumerated cell."""
     proc = subprocess.run(
         [sys.executable, "-c", FIRST_CELL, str(root), workload, str(seed)],
         capture_output=True, text=True, check=True)
+    if proc.stdout.split() == ["none"]:
+        return None
     kind, first, second = proc.stdout.split()
     return {"cell": kind, "first_s": float(first), "second_s": float(second)}
+
+
+def first_cells(sides: dict[str, Path], workload: str) -> dict | None:
+    """``first_cell`` in FIRST_CELL_RUNS fresh processes per side, the
+    side that runs first alternating; None without enumerated cells."""
+    if first_cell(sides["change"], workload, FIRST_SEED) is None:
+        return None
+    runs = []
+    for i in range(FIRST_CELL_RUNS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs.append({side: first_cell(sides[side], workload, FIRST_SEED)
+                     for side in order})
+    return {
+        "what": "CPU s of one cell of the workload's largest enumerated "
+                "class, run twice in a fresh process",
+        "cell": runs[0]["change"]["cell"],
+        **{side: {key: statistics.median(r[side][key] for r in runs)
+                  for key in ("first_s", "second_s")}
+           for side in sides},
+        "runs": runs,
+    }
 
 
 def main(argv=None) -> int:
@@ -136,9 +167,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workload", action="append",
                     help="repeat for several; default every workload")
-    ap.add_argument("--first-seed", type=int, default=11,
-                    help="pair i runs at this seed + i (digests.json "
-                         "stores seeds 0-10)")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
@@ -156,7 +184,7 @@ def main(argv=None) -> int:
         "protocol": (
             "same session; the parent (git archive) and the change run in "
             "turn, the side that runs first alternating from pair to pair; "
-            f"pair i runs at seed {args.first_seed} + i"),
+            f"pair i runs at seed {FIRST_SEED} + i"),
         "machine": machine(),
         "workloads": {},
     }
@@ -171,7 +199,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             pairs = []
             for i in range(args.pairs):
-                seed = args.first_seed + i
+                seed = FIRST_SEED + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 runs = {side: run_bench(sides[side], workload, seed, seconds)
                         for side in order}
@@ -179,28 +207,16 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {runs[side]['metrics']['cells_per_s']:.3g} cells/s"
                     for side in order), file=sys.stderr, flush=True)
-            cells = []
-            for i in range(FIRST_CELL_RUNS):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                cells.append({side: first_cell(sides[side], workload,
-                                               args.first_seed)
-                              for side in order})
             report["workloads"][workload] = {
                 "summary": summarize(
                     [{s: p[s]["metrics"] for s in sides} for p in pairs],
                     better),
                 "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
                 "pairs": pairs,
-                "first_cell": {
-                    "what": "CPU s of one cell of the workload's largest class, "
-                            "run twice in a fresh process",
-                    "cell": cells[0]["change"]["cell"],
-                    **{side: {key: statistics.median(c[side][key] for c in cells)
-                              for key in ("first_s", "second_s")}
-                       for side in sides},
-                    "runs": cells,
-                },
             }
+            cells = first_cells(sides, workload)
+            if cells is not None:
+                report["workloads"][workload]["first_cell"] = cells
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
