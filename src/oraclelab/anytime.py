@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Sequence
 
 import numpy as np
 
@@ -206,10 +205,12 @@ def _block_length(
     ledger: QueryLedger,
     delta: float,
     cost_cap: float,
-) -> tuple[int, bool]:
-    """(m, pruned): how many of the peeked steps the per-step loop takes
-    against vs before its state changes, and whether the prune after the
-    m-th step drops a survivor.
+    crossing: bool,
+) -> tuple[int, bool, list[int]]:
+    """(m, pruned, ends): how many of the peeked steps the per-step loop
+    takes against vs before its state changes, whether the prune after
+    the m-th step drops a survivor, and the round ends the block runs
+    across (as step counts below m).
 
     Step t (from 0) of the peek is step i0 + t + 1 of the run, on a
     dataset of l0 + t points with c0 + (labels so far) labels bought.
@@ -226,35 +227,64 @@ def _block_length(
       first step that does not pass, and the exact ``error_check``
       decides there.
 
+    ``crossing`` says that vs's SEARCH is known to answer None. A round
+    that ends on its label budget then changes no state but the trusted
+    snapshot, so the scan runs on past it: the SEARCH adds tau to the
+    cost and the next round counts labels from 0. The next step's error
+    check and cost stop are the scan's own; the cost only grows, so a
+    cost that stops the round before its SEARCH stops that step too. A
+    round end that no step follows is not crossed: the caller's loop
+    issues that SEARCH.
+
+    A block that queries no label, against survivors that have made no
+    error, changes no state: their counts stay 0, so neither the prune
+    nor the error check can fire, and neither the cost nor the label
+    budget moves. It is taken whole without a scan.
+
     The caller bounds the peek by n_cap, so the n_cap stop needs no test.
     """
     xs, ys, queried = peek
+    idx = vs.survivor_indices()
+    if not queried.any() and not counts[idx].any():
+        return len(xs), False, []
     # survivor counts after each step, as (steps, survivors)
     errs = np.cumsum(
         vs.survivor_rows(xs) != (ys == POS)[:, None], axis=0, dtype=np.int32
     )
-    errs += counts[vs.survivor_indices()].astype(np.int32)
+    errs += counts[idx].astype(np.int32)
     lo, hi = errs.min(axis=1).tolist(), errs.max(axis=1).tolist()
     labels = np.cumsum(queried).tolist()
     class_lo = [
         int(counts[: len(seq.classes[kp])].min())
         for kp in range(vs.k, seq.K_max + 1)
     ]
-    search_cost = ledger.tau * ledger.search_queries
+    searches = ledger.search_queries
+    m, pruned, ends = len(xs), False, []
     s: list[float] = []
     for t in range(len(xs)):
-        if t:  # s holds the sigmas at (l0 + t, i0 + t) from the last step
-            if _fires(class_lo, lo[t - 1], l0 + t, s):
-                return t, False
-            if ledger.label_queries + labels[t - 1] + search_cost >= cost_cap:
-                return t, False
+        # s holds the sigmas at (l0 + t, i0 + t) from the last step
+        if t and (
+            _fires(class_lo, lo[t - 1], l0 + t, s)
+            or ledger.label_queries + labels[t - 1] + ledger.tau * searches
+            >= cost_cap
+        ):
+            m = t
+            break
         l = l0 + t + 1
         s = _sigmas(seq, vs.k, l, delta, i0 + t + 1)
         if hi[t] / l > _ball(lo[t] / l, s[0]):
-            return t + 1, True
+            m, pruned = t + 1, True
+            break
         if c0 + labels[t] >= ledger.tau:
-            return t + 1, False
-    return len(xs), False
+            if not crossing:
+                m = t + 1
+                break
+            ends.append(t + 1)
+            searches += 1
+            c0 = -labels[t]
+    if ends and ends[-1] == m:
+        ends.pop()
+    return m, pruned, ends
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +394,10 @@ def run_aalarch(
     dataset as the new snapshot and stores the surviving empirical
     minimizer as the current solution. The steps run in blocks against a
     fixed version space, each cut where the per-step loop would change
-    state (``_block_length``), with the same results.
+    state (``_block_length``), with the same results. Once the version
+    space's SEARCH has answered None, a block runs on across the round
+    ends it meets: each round is committed, searched and verified in
+    turn, since none of them can change the version space.
 
     The working dataset is bounded by n_cap, so a degenerate round (no
     room to sample) still issues its SEARCH and the budget drains.
@@ -445,7 +478,25 @@ def run_aalarch(
         block = _FIRST_BLOCK
         note(kind)
 
+    def verify() -> None:
+        """A SEARCH answered None: the working dataset becomes the trusted
+        snapshot and the surviving empirical minimizer the solution."""
+        nonlocal tilde_len, solution, solution_index, solution_err
+        tilde_len = len(working)
+        tracker.commit()
+        surv = vs.survivor_indices()
+        if len(surv):
+            best = int(surv[int(np.argmin(tracker.committed[surv]))])
+            if best != solution_index:
+                solution_index = best
+                solution = vs.cls.hypothesis(best)
+                solution_err = bundle.exact_error(solution)
+        note("verified")
+        mark(True)
+
     block = _FIRST_BLOCK
+    solution_index = None
+    searched = None  # the version space whose last SEARCH answered None
     mark(False)
     while bundle.ledger.cost < cost_cap:
         c = 0
@@ -465,33 +516,44 @@ def run_aalarch(
                 max(1, _BLOCK_ELEMENTS // int(np.count_nonzero(vs.mask))),
             )
             peek = bundle.peek_sal(vs, n)
-            m, pruned = _block_length(
+            m, pruned, ends = _block_length(
                 seq, vs, tracker.counts, peek, len(working), i, c,
-                bundle.ledger, delta, cost_cap,
+                bundle.ledger, delta, cost_cap, searched is vs,
             )
-            batch, n_queried = sal_batch(vs, bundle, m)
-            # the peek already classified these draws, so the batch's own
-            # inferred labels are never built
-            xs, ys, queried = (col[:m] for col in peek)
-            assert (
-                np.array_equal(batch.xs, xs)
-                and np.array_equal(batch.queried, queried)
-                and np.array_equal(batch.queried_ys, ys[queried])
-            ), "sal_batch drew other steps than the peek"
-            # a queried point's shadow label is its label; the inferred
-            # ones draw theirs from the shadow stream, in draw order
-            shadow_ys = ys.copy()
-            if n_queried < m:
-                shadow_ys[~queried] = bundle.shadow_labels(xs[~queried])
-            working.extend(
-                map(
-                    DrawnExample, xs.tolist(), ys.tolist(),
-                    queried.tolist(), shadow_ys.tolist(),
+            # one sal_batch per round, so the ledger and the transcript
+            # interleave draws, labels and SEARCHes as step by step
+            start = 0
+            for end in ends + [m]:
+                batch, n_queried = sal_batch(vs, bundle, end - start)
+                # the peek already classified these draws, so the batch's
+                # own inferred labels are never built
+                xs, ys, queried = (col[start:end] for col in peek)
+                assert (
+                    np.array_equal(batch.xs, xs)
+                    and np.array_equal(batch.queried, queried)
+                    and np.array_equal(batch.queried_ys, ys[queried])
+                ), "sal_batch drew other steps than the peek"
+                # a queried point's shadow label is its label; the
+                # inferred ones draw theirs from the shadow stream, in
+                # draw order
+                shadow_ys = ys.copy()
+                if n_queried < len(xs):
+                    shadow_ys[~queried] = bundle.shadow_labels(xs[~queried])
+                working.extend(
+                    map(
+                        DrawnExample, xs.tolist(), ys.tolist(),
+                        queried.tolist(), shadow_ys.tolist(),
+                    )
                 )
-            )
-            tracker.extend(xs, ys)
-            i += m
-            c += n_queried
+                tracker.extend(xs, ys)
+                i += len(xs)
+                c += n_queried
+                if end < m:  # a round end the block ran across
+                    e = bundle.search_query(vs, k=k)
+                    assert c >= tau and e is None, "a crossed round changed"
+                    verify()
+                    c = 0
+                start = end
             if pruned:
                 vs = prune_version_space(
                     tracker.counts, vs, len(working), delta, i
@@ -510,16 +572,8 @@ def run_aalarch(
             restart("counterexample", e)
             mark(False)
         else:
-            tilde_len = len(working)
-            tracker.commit()
-            surv = vs.survivor_indices()
-            counts = tracker.committed[surv]
-            best = int(surv[int(np.argmin(counts))]) if len(surv) else None
-            if best is not None:
-                solution = vs.cls.hypothesis(best)
-                solution_err = bundle.exact_error(solution)
-            note("verified")
-            mark(True)
+            searched = vs
+            verify()
     return AalarchResult(
         timeline,
         trace,
@@ -542,38 +596,3 @@ def _errh_bound(
     s = sigma(seq.d(kstar), l, delta_schedule(delta, i, kstar))
     return nu + 8.0 * math.sqrt(nu * s) + 35.0 * s
 
-
-def favorable_bias_violations(
-    working: Sequence[DrawnExample],
-    cls,
-    target: Hypothesis,
-    upto: int,
-) -> int:
-    """Number of (hypothesis, prefix) pairs violating the favorable-bias
-    inequality
-
-        errcount(h, L^D) - errcount(h*, L^D)
-            <= errcount(h, L) - errcount(h*, L)
-
-    over every prefix L of length 1..upto at once, via cumulative error
-    counts; L^D relabels inferred points with their shadow labels
-    (queried points keep the labels they got). Zero means the bias holds
-    at every verified step, and for every class that is a prefix of
-    ``cls``."""
-    from .hypotheses import predict_batch
-
-    recs = list(working[:upto])
-    if not recs:
-        return 0
-    xs = np.array([r.x for r in recs])
-    ys = np.array([r.y for r in recs], dtype=np.int8)
-    shadow = np.array([r.shadow_y for r in recs], dtype=np.int8)
-    star = predict_batch(target, xs)
-    star_work = np.cumsum(star != ys)
-    star_shadow = np.cumsum(star != shadow)
-    preds = cls.predictions(xs)  # (n_hyp, n_pts) positive indicator
-    signs = np.where(preds, 1, -1).astype(np.int8)
-    work = np.cumsum(signs != ys[None, :], axis=1)
-    shad = np.cumsum(signs != shadow[None, :], axis=1)
-    bad = (shad - star_shadow[None, :]) > (work - star_work[None, :])
-    return int(bad.sum())

@@ -161,8 +161,10 @@ class ExperimentConfig:
                 raise ConfigError(f"epsilon {eps} outside (0,1)")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta {self.delta} outside (0,1)")
-        if self.tau < 1.0:
-            raise ConfigError(f"tau {self.tau} must be >= 1")
+        if not 1.0 <= self.tau < math.inf:
+            raise ConfigError(f"tau {self.tau} must be finite and >= 1")
+        if not 0.0 < self.cost_cap < math.inf:
+            raise ConfigError(f"cost_cap {self.cost_cap} must be finite and > 0")
         if self.n_cap < 1:
             raise ConfigError(f"n_cap {self.n_cap} must be >= 1")
         if not self.seeds:

@@ -217,6 +217,7 @@ class OracleBundle:
         self.validate_search = validate_search
         self.transcript = transcript
         self.ledger = QueryLedger(tau=tau)
+        self._none_for: VersionSpace | None = None
         ss = np.random.SeedSequence(seed)
         kids = ss.spawn(4)
         self._sampler_rng = np.random.default_rng(kids[0])
@@ -310,8 +311,15 @@ class OracleBundle:
     def search_query(
         self, vs: VersionSpace, k: int | None = None
     ) -> LabeledExample | None:
+        """One charged SEARCH on vs. A None answer depends on vs and the
+        target alone and draws nothing from the policy stream, and a
+        version space is never mutated, so a repeat SEARCH on the object
+        the last None answer was for answers None without ``_search``; it
+        is still charged, logged and, under ``validate_search``, checked."""
         self.ledger.search_queries += 1
-        result = self._search(vs)
+        result = None if vs is self._none_for else self._search(vs)
+        if result is None:
+            self._none_for = vs
         if self.validate_search:
             self._check_search(vs, result)
         self._log(

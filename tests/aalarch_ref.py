@@ -1,4 +1,5 @@
-"""Per-step reference for the AA-LARCH sampling loop.
+"""Per-step reference for the AA-LARCH sampling loop, and the
+favorable-bias diagnostic.
 
 ``run_aalarch_stepwise`` is ``oraclelab.anytime.run_aalarch`` with its
 sampling block written one step at a time: one ``sal_step`` draw, one
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +31,46 @@ from oraclelab.hypotheses import (
     LabeledExample,
     MaskedVersionSpace,
     NestedClassSequence,
+    predict_batch,
 )
 from oraclelab.oracles import DrawnExample, OracleBundle, event, sal_step
+
+
+def favorable_bias_violations(
+    working: Sequence[DrawnExample],
+    cls,
+    target: Hypothesis,
+    upto: int,
+) -> int:
+    """Number of (hypothesis, prefix) pairs violating the favorable-bias
+    inequality
+
+        errcount(h, L^D) - errcount(h*, L^D)
+            <= errcount(h, L) - errcount(h*, L)
+
+    over every prefix L of length 1..upto; L^D relabels inferred points
+    with their shadow labels (queried points keep the labels they got).
+    Zero means the bias holds at every verified step, and for every class
+    that is a prefix of ``cls``.
+
+    The two sides differ only at points whose shadow label is not their
+    label. At such a point (shadow = -y) the left side minus the right
+    moves by a(h) - a(h*), with a = +1 where the prediction is y and -1
+    where it is not; elsewhere it stays. So the difference is a cumulative
+    sum over those points alone, constant on the prefixes up to the next
+    one, and each violating value counts once per such prefix."""
+    recs = working[:upto]
+    flips = [j for j, r in enumerate(recs) if r.shadow_y != r.y]
+    if not flips:
+        return 0
+    xs = np.array([recs[j].x for j in flips])
+    ys = np.array([recs[j].y for j in flips], dtype=np.int8)
+    agree = np.where(cls.predictions(xs) == (ys == POS)[None, :], 1, -1)
+    star = np.where(predict_batch(target, xs) == ys, 1, -1)
+    gap = np.cumsum(agree - star[None, :], axis=1)
+    # prefixes of length flips[r] + 1 .. flips[r + 1] share column r
+    spans = np.diff(np.append(flips, len(recs)))
+    return int((gap > 0).sum(axis=0) @ spans)
 
 
 def run_aalarch_stepwise(

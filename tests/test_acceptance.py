@@ -20,7 +20,6 @@ from oraclelab.agnostic import run_al, run_alarch
 from oraclelab.anytime import (
     AalarchDiagnostics,
     error_at_cost,
-    favorable_bias_violations,
     run_aalarch,
 )
 from oraclelab.bounds import (
@@ -58,6 +57,7 @@ from oraclelab.oracles import (
 )
 from oraclelab.realizable import run_binary_search_demo, run_cal, run_larch, run_seabel
 
+from aalarch_ref import favorable_bias_violations
 from gridref import sup_interval_error, sup_threshold_error
 
 SEEDS = list(range(20))

@@ -14,7 +14,6 @@ from oraclelab.anytime import (
     AalarchDiagnostics,
     error_at_cost,
     error_check,
-    favorable_bias_violations,
     _CountTracker,
     prune_version_space,
     run_aalarch,
@@ -35,6 +34,7 @@ from oraclelab.hypotheses import (
 from oraclelab import anytime
 from oraclelab.oracles import (
     SEARCH_POLICIES,
+    DrawnExample,
     NoiseModel,
     OracleBundle,
     QueryLedger,
@@ -299,9 +299,51 @@ class TestRunAalarch:
     def test_favorable_bias_on_every_verified_prefix(self):
         b, _, res = self.run_one(1, cost_cap=600.0)
         top = self.seq.classes[self.seq.K_max]
-        assert favorable_bias_violations(
+        assert aalarch_ref.favorable_bias_violations(
             res.working, top, b.target, res.verified_size
         ) == 0
+
+    def test_favorable_bias_count_matches_every_prefix(self):
+        # the count over shadow-flip columns against both cumulative
+        # counts over every prefix, on runs and on random records (where
+        # violations occur)
+        def every_prefix(working, cls, target, upto):
+            recs = working[:upto]
+            if not recs:
+                return 0
+            xs = np.array([r.x for r in recs])
+            ys = np.array([r.y for r in recs], dtype=np.int8)
+            shadow = np.array([r.shadow_y for r in recs], dtype=np.int8)
+            star = predict_batch(target, xs)
+            signs = np.where(cls.predictions(xs), 1, -1).astype(np.int8)
+            work = np.cumsum(signs != ys, axis=1)
+            shad = np.cumsum(signs != shadow, axis=1)
+            return int((
+                (shad - np.cumsum(star != shadow))
+                > (work - np.cumsum(star != ys))
+            ).sum())
+
+        top = self.seq.classes[self.seq.K_max]
+        cases = []
+        for seed in range(3):
+            *_, res = self.run_one(seed, cost_cap=400.0)
+            cases.append((res.working, res.verified_size))
+        rng = np.random.default_rng(0)
+        for n in (0, 1, 5, 60, 300):
+            ys = rng.choice([-1, 1], n)
+            flip = rng.random(n) < 0.3
+            cases.append(([
+                DrawnExample(float(x), int(y), False, int(s))
+                for x, y, s in zip(rng.random(n), ys, np.where(flip, -ys, ys))
+            ], int(rng.integers(0, n + 1))))
+        got = []
+        for working, upto in cases:
+            want = every_prefix(working, top, self.target, upto)
+            assert aalarch_ref.favorable_bias_violations(
+                working, top, self.target, upto
+            ) == want
+            got.append(want)
+        assert max(got) > 0
 
     def test_errh_envelope_at_verified_steps(self):
         ok = 0
@@ -409,7 +451,7 @@ class TestErrorCheckUpgradePath:
         assert res.unverified_iterations <= diag.kstar
         assert all(r.k <= diag.kstar for r in res.trace)
         # the rollback restored a committed prefix: favorable bias intact
-        assert not favorable_bias_violations(
+        assert not aalarch_ref.favorable_bias_violations(
             res.working, self.seq.classes[2], self.target, res.verified_size
         )
 
@@ -456,6 +498,109 @@ def blocked_and_stepwise(k_max, tau, noise, policy, seed, n_cap, cost_cap):
     return out
 
 
+
+def random_block_case(trial: int, crossing: bool) -> tuple:
+    """Arguments of ``anytime._block_length`` for a random state and
+    peek. With ``crossing`` the version space is one whose SEARCH answers
+    None (the target survives), tau is small and the cost cap near, so
+    the peek crosses rounds and the cost stop lands after SEARCHes."""
+    seq = NestedClassSequence.enumerated_intervals(2, resolution=9)
+    top = seq.classes[2]
+    g = seq.grid
+    target = IntervalUnion(((g[1], g[3]), (g[5], g[7])))
+    rng = np.random.default_rng([5, trial, crossing])
+    delta = 0.1
+    noise = NoiseModel("rcn", eta=float(rng.choice([0.0, 0.1, 0.3])))
+    b = OracleBundle(target, noise, seed=trial)
+    l0 = int(rng.choice([0, 40, rng.integers(0, 3000)]))
+    i0 = l0 + int(rng.integers(0, 50))
+    xs0 = b.draw(l0)
+    counts = top.err_counts(xs0, b.label_query_batch(xs0))
+    # a space pruned at a smaller delta keeps survivors just outside this
+    # run's ball, so prunes come early in the block
+    k = 2 if crossing else int(rng.integers(0, 3))
+    vs = prune_version_space(
+        counts, seq.version_space(k), l0,
+        delta * float(rng.choice([1.0, 0.5, 0.1])), max(i0, 1),
+    )
+    if crossing:
+        vs = vs.replace_mask(vs.mask | (np.arange(len(vs.mask)) ==
+                                        top.index_of(target)))
+        assert b._search(vs) is None
+        tau = float(rng.choice([1.0, 2.0, 3.5]))
+        cost_room = float(rng.choice([rng.uniform(2.0, 40.0), 1e9]))
+        n = 96
+    else:
+        tau = float(rng.choice([1.0, 4.0, 1e9]))
+        cost_room = float(rng.choice([3.5, 10.0, 1e9]))
+        n = 48
+    peek = b.peek_sal(vs, n)
+    c0 = int(rng.integers(0, tau)) if tau < 1e9 else 0
+    ledger = QueryLedger(
+        label_queries=l0, search_queries=int(rng.integers(0, 9)), tau=tau
+    )
+    return (seq, vs, counts, peek, l0, i0, c0, ledger, delta,
+            ledger.cost + cost_room, crossing)
+
+
+def reference_block(seq, vs, counts, peek, l0, i0, c0, ledger, delta,
+                    cost_cap, crossing):
+    """The per-step loop run on a peek: (steps, pruned, what stopped it,
+    round ends). Before each step the error check and the cost stop,
+    after it the count update, the prune and the label budget. A round
+    that spends its budget then checks the cost and, with ``crossing``,
+    buys its SEARCH (None, at tau) and starts over at 0 labels."""
+    xs, ys, queried = peek
+    top = seq.classes[seq.K_max]
+    c = counts.copy()
+    labels, since, searches = 0, c0, ledger.search_queries
+    ends: list[int] = []
+
+    def cost():
+        return ledger.label_queries + labels + ledger.tau * searches
+
+    for step in range(len(xs)):
+        l, i = l0 + step, i0 + step
+        if step and error_check(c, vs, l, delta, i, seq):
+            return step, False, "error check", ends
+        if step and cost() >= cost_cap:
+            return step, False, "cost", ends
+        c += top.err_counts(xs[step : step + 1], ys[step : step + 1])
+        labels += int(queried[step])
+        since += int(queried[step])
+        after = prune_version_space(c, vs, l + 1, delta, i + 1)
+        if not np.array_equal(after.mask, vs.mask):
+            return step + 1, True, "prune", ends
+        if since >= ledger.tau:
+            if not crossing or cost() >= cost_cap:
+                return step + 1, False, "tau", ends
+            searches += 1
+            since = 0
+            ends.append(step + 1)
+    return len(xs), False, "end", ends
+
+
+def check_block(case, got) -> str:
+    """Assert the scan's (m, pruned, ends) against ``reference_block``;
+    returns the outcome for coverage."""
+    m, pruned, ends = got
+    want_m, want_pruned, kind, want_ends = reference_block(*case)
+    assert m <= want_m, kind
+    assert pruned == (m == want_m and want_pruned)
+    # a round end that no step of the block follows is the caller's
+    assert ends == [e for e in want_ends if e < m]
+    _, vs, counts, (_, _, queried), *_ = case
+    if not queried.any() and not counts[vs.survivor_indices()].any():
+        return "no scan"
+    if m < want_m:
+        return "screen"
+    if kind == "cost" and want_ends:
+        return "cost after a SEARCH"
+    if kind == "end" and ends:
+        return "crossed"
+    return kind
+
+
 class TestBlockedMatchesStepwise:
     @pytest.mark.parametrize("policy", SEARCH_POLICIES)
     @pytest.mark.parametrize("noise", sorted(NOISES))
@@ -483,63 +628,80 @@ class TestBlockedMatchesStepwise:
         # random states and peeks against the per-step checks themselves:
         # the block never runs past a step where the per-step loop stops
         # or changes state, and reports the prune exactly; a shorter
-        # block could only come from the error-check screen
-        seq = NestedClassSequence.enumerated_intervals(2, resolution=9)
-        top = seq.classes[2]
-        g = seq.grid
-        rng = np.random.default_rng(5)
-        delta, n = 0.1, 48
+        # block could only come from the error-check screen. Without
+        # crossing, a round end stops the block.
         outcomes = set()
         for trial in range(150):
-            noise = NoiseModel("rcn", eta=float(rng.choice([0.0, 0.1, 0.3])))
-            b = OracleBundle(
-                IntervalUnion(((g[1], g[3]), (g[5], g[7]))), noise, seed=trial
-            )
-            l0 = int(rng.integers(0, 3000))
-            i0 = l0 + int(rng.integers(0, 50))
-            xs0 = b.draw(l0)
-            counts = top.err_counts(xs0, b.label_query_batch(xs0))
-            # a space pruned at a smaller delta keeps survivors just
-            # outside this run's ball, so prunes come early in the block
-            k = int(rng.integers(0, 3))
-            vs = prune_version_space(
-                counts, seq.version_space(k), l0,
-                delta * float(rng.choice([1.0, 0.5, 0.1])), max(i0, 1),
-            )
-            xs, ys, queried = peek = b.peek_sal(vs, n)
-            tau = float(rng.choice([1.0, 4.0, 1e9]))
-            c0 = int(rng.integers(0, tau)) if tau < 1e9 else 0
-            ledger = QueryLedger(
-                label_queries=l0, search_queries=int(rng.integers(0, 9)), tau=tau
-            )
-            cost_cap = ledger.cost + float(rng.choice([3.5, 10.0, 1e9]))
-            search_cost = ledger.tau * ledger.search_queries
-            m, pruned = anytime._block_length(
-                seq, vs, counts, peek, l0, i0, c0, ledger, delta, cost_cap
-            )
-            want_m, want_pruned, kind = n, False, "end"
-            c = counts.copy()
-            for step in range(n):
-                l, labels = l0 + step, c0 + int(queried[:step].sum())
-                if step and error_check(c, vs, l, delta, i0 + step, seq):
-                    want_m, kind = step, "error check"
-                    break
-                cost = ledger.label_queries + (labels - c0) + search_cost
-                if step and cost >= cost_cap:
-                    want_m, kind = step, "cost"
-                    break
-                c += top.err_counts(xs[step : step + 1], ys[step : step + 1])
-                after = prune_version_space(c, vs, l + 1, delta, i0 + step + 1)
-                if not np.array_equal(after.mask, vs.mask):
-                    want_m, want_pruned, kind = step + 1, True, "prune"
-                    break
-                if labels + int(queried[step]) >= tau:
-                    want_m, kind = step + 1, "tau"
-                    break
-            assert m <= want_m, (trial, kind)
-            assert pruned == (m == want_m and want_pruned), trial
-            outcomes.add(kind if m == want_m else "screen")
+            case = random_block_case(trial, crossing=False)
+            got = anytime._block_length(*case)
+            outcomes.add(check_block(case, got))
+            assert got[2] == []
         assert outcomes >= {"error check", "prune", "tau", "cost", "end"}
+
+    def test_block_length_runs_across_none_rounds(self):
+        # against a space whose SEARCH answers None, the block runs past
+        # round ends: each reported end is where the label budget ends a
+        # round, and the cost stop counts tau for every SEARCH crossed
+        outcomes = set()
+        crossed = 0
+        for trial in range(250):
+            case = random_block_case(trial, crossing=True)
+            got = anytime._block_length(*case)
+            outcomes.add(check_block(case, got))
+            crossed += len(got[2])
+        assert crossed > 100
+        assert outcomes >= {
+            "prune", "tau", "cost after a SEARCH", "crossed", "no scan",
+        }
+
+    def test_block_with_no_label_and_no_error_is_whole(self, monkeypatch):
+        # the H_0 round: no DIS, no error, no scan
+        seq = NestedClassSequence.enumerated_intervals(2, resolution=9)
+        b = OracleBundle(IntervalUnion(((0.3, 0.6),)), NOISES["rcn"], seed=1)
+        vs = seq.version_space(0)
+        peek = b.peek_sal(vs, 500)
+        assert not peek[2].any()
+        monkeypatch.setattr(anytime, "_sigmas", None)  # never called
+        counts = np.zeros(len(seq.classes[2]), np.int64)
+        counts[5:] = 7  # members outside vs do not matter
+        got = anytime._block_length(
+            seq, vs, counts, peek, 40, 40, 0, QueryLedger(tau=4.0), 0.1,
+            1e9, True,
+        )
+        assert got == (500, False, [])
+
+    def test_crosses_only_after_a_none_on_the_same_space(self, monkeypatch):
+        # a block may run across round ends only once the learner's last
+        # SEARCH answered None for this very version-space object
+        log = []
+        scan, search = anytime._block_length, OracleBundle.search_query
+
+        def logged_scan(seq, vs, *args):
+            log.append(("scan", vs, args[-1]))
+            return scan(seq, vs, *args)
+
+        def logged_search(bundle, vs, k=None):
+            e = search(bundle, vs, k)
+            log.append(("search", vs, e is None))
+            return e
+
+        monkeypatch.setattr(anytime, "_block_length", logged_scan)
+        monkeypatch.setattr(OracleBundle, "search_query", logged_search)
+        seq = NestedClassSequence.enumerated_intervals(2, resolution=13)
+        g = seq.grid
+        b = OracleBundle(
+            IntervalUnion(((g[2], g[4]), (g[7], g[10]))), NOISES["rcn"],
+            seed=1, tau=1.0,
+        )
+        run_aalarch(seq, b, 0.1, 900, 700.0)
+        last = None
+        for kind, vs, flag in log:
+            if kind == "search":
+                last = (vs, flag)
+            else:
+                assert flag == (last is not None and last[0] is vs and last[1])
+        assert {flag for kind, _, flag in log if kind == "scan"} == {True, False}
+        assert False in {flag for kind, _, flag in log if kind == "search"}
 
     def test_ec_upgrade_fixture(self):
         # the blocked run matches the pin (TestErrorCheckUpgradePath)

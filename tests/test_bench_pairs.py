@@ -58,3 +58,38 @@ def test_summary_no_gain_inside_the_parent_spread():
     assert not rate["beyond_parent_iqr"]  # +0.5 against an IQR of 1.5
     assert s["cell_p50_ms"]["change_won"] == 0
     assert not s["cell_p50_ms"]["beyond_parent_iqr"]
+
+
+@pytest.mark.parametrize("parent,change,way,verdict", [
+    # medians 10 and 7: 30% worse against a 25% bound
+    ([9.0, 10.0, 11.0], [6.0, 7.0, 8.0], "higher", "worse"),
+    ([9.0, 10.0, 11.0], [12.0, 13.0, 14.0], "lower", "worse"),
+    # 20% worse, inside the bound, and both sides tight
+    ([9.9, 10.0, 10.1], [7.9, 8.0, 8.1], "higher", "not worse"),
+    # 10% better, but the parent's runs spread by 4 (40% of its median)
+    ([6.0, 8.0, 10.0, 12.0, 14.0], [9.0, 11.0, 13.0], "higher",
+     "unresolved"),
+    # the change's own spread alone is enough
+    ([9.9, 10.0, 10.1], [6.0, 10.0, 14.0], "higher", "unresolved"),
+    # as wide, but every change run beats every parent run
+    ([6.0, 8.0, 10.0, 12.0, 14.0], [15.0, 17.0, 19.0, 21.0, 23.0],
+     "higher", "not worse"),
+    ([15.0, 17.0, 19.0, 21.0, 23.0], [6.0, 8.0, 10.0, 12.0, 14.0],
+     "lower", "not worse"),
+    # a tie between the best parent run and the worst change run
+    ([6.0, 8.0, 10.0, 12.0, 15.0], [15.0, 17.0, 19.0, 21.0, 23.0],
+     "higher", "unresolved"),
+])
+def test_no_worse_verdict(parent, change, way, verdict):
+    assert bench_pairs.no_worse(parent, change, way, 0.25) == verdict
+
+
+def test_summary_gives_the_verdict_for_bounded_metrics():
+    s = bench_pairs.summarize(pairs(
+        parent_rate=[8.0, 7.0, 9.0, 8.0, 6.0],
+        change_rate=[25.0, 26.0, 8.0, 30.0, 24.0],
+        parent_ms=[100.0, 110.0, 90.0, 95.0, 105.0],
+        change_ms=[150.0, 160.0, 140.0, 145.0, 155.0],
+    ), BETTER, {"cell_p50_ms": 0.25})
+    assert "no_worse" not in s["cells_per_s"]
+    assert s["cell_p50_ms"]["no_worse"] == "worse"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +52,21 @@ class TestConfig:
             small_larch_config(gamma="magic").validate()
         with pytest.raises(ConfigError, match="seed"):
             small_larch_config(seeds=[]).validate()
+
+    @pytest.mark.parametrize("name,value", [
+        ("tau", math.inf), ("tau", math.nan), ("tau", 0.5),
+        ("cost_cap", math.inf), ("cost_cap", math.nan), ("cost_cap", 0.0),
+        ("cost_cap", -5.0),
+    ])
+    def test_tau_and_cost_cap_must_be_finite(self, name, value):
+        # an infinite cost cap never ends an AA-LARCH run; an infinite or
+        # nan tau makes every cost nan; a cap <= 0 runs nothing
+        cfg = small_larch_config(algorithm="aalarch",
+                                 family="intervals-enumerated")
+        cfg.validate()
+        setattr(cfg, name, value)
+        with pytest.raises(ConfigError, match=f"^{name} .* must be finite"):
+            cfg.validate()
 
     def test_unknown_field_in_json(self):
         text = json.dumps({"algorithm": "larch", "epsilon": 0.1})
@@ -342,6 +358,14 @@ class TestCliConfigErrors:
             ({}, ["--set", "validate=1"], "unknown config field"),
             ({}, ["--set", "config_hash=1"], "unknown config field"),
             ({}, ["--set", "__class__=1"], "unknown config field"),
+            # non-finite costs and caps
+            ({}, ["--set", "tau=Infinity"], "tau inf must be finite"),
+            ({}, ["--set", "tau=NaN"], "tau nan must be finite"),
+            ({}, ["--set", "cost_cap=Infinity"], "cost_cap inf must be"),
+            ({}, ["--set", "cost_cap=NaN"], "cost_cap nan must be"),
+            ({}, ["--set", "cost_cap=0"], "cost_cap 0 must be"),
+            ({"algorithm": "aalarch", "family": "intervals-enumerated"},
+             ["--set", "cost_cap=-1"], "cost_cap -1 must be"),
         ],
     )
     def test_one_line_and_nonzero_exit(self, tmp_path, capsys, fields,

@@ -215,6 +215,39 @@ class TestSearchOracle:
         with pytest.raises(SearchSoundnessError, match="returned None"):
             b.search_query(vs, k=0)
 
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_repeat_none_on_the_same_space_skips_the_scan(
+        self, validate, monkeypatch
+    ):
+        seq = NestedClassSequence.enumerated_intervals(1, resolution=21)
+        target = IntervalUnion(((0.3, 0.6),))
+        transcript: list = []
+        b = make_bundle(target, validate_search=validate,
+                        transcript=transcript)
+        calls = {"_search": 0, "_check_search": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(b, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(b, name, counted)
+        vs = seq.version_space(1, [(0.45, 1)])
+        assert b.search_query(vs, k=1) is None
+        assert b.search_query(vs, k=1) is None
+        assert calls == {"_search": 1, "_check_search": 2 * validate}
+        assert b.ledger.search_queries == 2
+        assert [r.event for r in transcript] == ["search", "search"]
+        assert [r.ledger["search_queries"] for r in transcript] == [1, 2]
+        # an equal space that is another object is searched again
+        twin = MaskedVersionSpace(vs.cls, vs.mask.copy())
+        assert b.search_query(twin, k=1) is None
+        assert calls["_search"] == 2
+        # a counterexample is not remembered: the next query scans
+        vs0 = seq.version_space(0)
+        assert b.search_query(vs0, k=0) is not None
+        assert b.search_query(vs0, k=0) is not None
+        assert calls["_search"] == 4
+        assert b.ledger.search_queries == 5
+
     def test_masked_backend_search(self):
         seq = NestedClassSequence.enumerated_intervals(1, resolution=21)
         target = IntervalUnion(((0.3, 0.6),))

@@ -15,8 +15,9 @@ back a claim: the same code can run twice as fast on another day.
 
 The summary holds, per end-to-end metric, each side's median and
 quartiles, the number of pairs the change won (strictly better, in the
-direction BENCHMARK.json gives) and whether the change's median beats
-the parent's by more than the parent's interquartile range.
+direction BENCHMARK.json gives), whether the change's median beats
+the parent's by more than the parent's interquartile range, and the
+``no_worse`` verdict against BENCHMARK.json's bound.
 
 Per workload with enumerated classes, it also times one cell of the
 largest enumerated class the workload uses (the first
@@ -72,12 +73,37 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def no_worse(parent: list[float], change: list[float], way: str,
+             bound: float) -> str:
+    """"worse", "unresolved" or "not worse": the change's runs against
+    the parent's, for a metric that may worsen by ``bound`` (a fraction
+    of the parent's median) before it counts as a regression.
+
+    Worse: the change's median is worse than the parent's by more than
+    the bound. Unresolved: not worse, but the wider side's interquartile
+    range exceeds the bound, so the runs spread too widely to tell, and
+    not every run of the change beats every run of the parent."""
+    sign = 1.0 if way == "higher" else -1.0
+    ps, cs = quartiles(parent), quartiles(change)
+    room = bound * abs(ps["median"])
+    if sign * (cs["median"] - ps["median"]) < -room:
+        return "worse"
+    spread = max(ps["q3"] - ps["q1"], cs["q3"] - cs["q1"])
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if spread > room and not beats_all:
+        return "unresolved"
+    return "not worse"
+
+
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per metric: both sides' median and quartiles, the pairs the change
-    won, and whether its median clears the parent's interquartile range.
+    won, whether its median clears the parent's interquartile range and,
+    for a metric in ``bounds``, the ``no_worse`` verdict.
 
     ``pairs`` holds one ``{"parent": {metric: value}, "change": {...}}``
-    per pair; ``better`` maps each metric to "higher" or "lower"."""
+    per pair; ``better`` maps each metric to "higher" or "lower" and
+    ``bounds`` to the fraction by which it may worsen."""
     out = {}
     for name, way in better.items():
         sign = 1.0 if way == "higher" else -1.0
@@ -96,6 +122,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             ),
             "beyond_parent_iqr": gain > ps["q3"] - ps["q1"],
         }
+        if bounds and name in bounds:
+            out[name]["no_worse"] = no_worse(parent, change, way, bounds[name])
     return out
 
 
@@ -171,6 +199,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent],
                          cwd=ROOT, capture_output=True, text=True,
@@ -210,7 +239,7 @@ def main(argv=None) -> int:
             report["workloads"][workload] = {
                 "summary": summarize(
                     [{s: p[s]["metrics"] for s in sides} for p in pairs],
-                    better),
+                    better, bounds),
                 "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
                 "pairs": pairs,
             }
