@@ -169,11 +169,10 @@ def run_alarch(
     rounds: list[SimpleNamespace] = []
     outcomes: list[AlOutcome] = []
     while True:
-        if k > seq.K_max:
-            raise RuntimeError(f"class index {k} exceeded K_max={seq.K_max}")
-        delta_k = delta / ((k + 1) * (k + 2))
-        h_class = seq.version_space(k, s)
+        h_class = seq.least_consistent(s, k_lo=k)
         assert isinstance(h_class, MaskedVersionSpace)
+        k = h_class.k
+        delta_k = delta / ((k + 1) * (k + 2))
         outcome = run_al(h_class, bundle, gamma, epsilon, delta_k)
         outcomes.append(outcome)
         e, result = None, "skipped"
@@ -186,10 +185,8 @@ def run_alarch(
                 al_epochs=outcome.halting_epoch, search_result=result,
             )
         )
-        if outcome.rejected:
-            k += 1
-        elif e is None:
-            return outcome.hypothesis, bundle.ledger, rounds, outcomes
-        else:
+        if e is not None:
             s.append(e)
-            k = seq.min_consistent_index(s, k_lo=k + 1)
+        elif not outcome.rejected:
+            return outcome.hypothesis, bundle.ledger, rounds, outcomes
+        k += 1

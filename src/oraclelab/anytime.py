@@ -150,10 +150,9 @@ def upgrade_version_space(
     least class index above k consistent with it. Raises ExhaustionError
     past K_max."""
     s_new = list(s) + ([seed_example] if seed_example is not None else [])
-    k_new = seq.min_consistent_index(s_new, k_lo=k + 1)
-    vs = seq.version_space(k_new, s_new)
+    vs = seq.least_consistent(s_new, k_lo=k + 1)
     assert isinstance(vs, MaskedVersionSpace)
-    return k_new, s_new, vs
+    return vs.k, s_new, vs
 
 
 # ---------------------------------------------------------------------------

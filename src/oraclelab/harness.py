@@ -41,18 +41,6 @@ from .realizable import run_binary_search_demo, run_cal, run_larch, run_seabel
 FAMILIES = ("intervals-exact", "intervals-enumerated", "thresholds-exact",
             "thresholds-grid")
 
-# each algorithm and the families it runs on: the nested-class learners
-# need a sequence (only the interval families define one), the agnostic
-# and anytime learners an explicit finite class
-INTERVALS = ("intervals-exact", "intervals-enumerated")
-ALGORITHMS = {
-    "binary-search-demo": FAMILIES, "cal": FAMILIES,
-    "larch": INTERVALS, "seabel": INTERVALS,
-    "al": ("intervals-enumerated", "thresholds-grid"),
-    "alarch": ("intervals-enumerated",), "aalarch": ("intervals-enumerated",),
-    "passive-baseline": FAMILIES,
-}
-
 GAMMAS = ("constant-nu", "rcn-exact", "zero")
 
 CSV_SCHEMA_COMMENT = "# oraclelab results v1"
@@ -124,10 +112,10 @@ class ExperimentConfig:
                  isinstance(v, (list, tuple)) and all(ok(e) for e in v))
         for name in ("target", "noise"):
             want(name, "an object", isinstance(getattr(self, name), dict))
-        want("seed_examples", "a list of [x, +1 or -1] pairs",
+        want("seed_examples", "a list of [x in [0,1], +1 or -1] pairs",
              isinstance(self.seed_examples, (list, tuple)) and all(
                  isinstance(e, (list, tuple)) and len(e) == 2
-                 and is_num(e[0]) and e[1] in (1, -1)
+                 and is_num(e[0]) and 0.0 <= e[0] <= 1.0 and e[1] in (1, -1)
                  for e in self.seed_examples))
         want("validate_search", "true or false",
              isinstance(self.validate_search, bool))
@@ -147,15 +135,18 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown family {self.family!r}; pick one of {FAMILIES}"
             )
-        if self.family not in ALGORITHMS[self.algorithm]:
+        families, _ = ALGORITHMS[self.algorithm]
+        if self.family not in families:
             raise ConfigError(
                 f"{self.algorithm} does not run on {self.family}; it runs on "
-                f"{', '.join(ALGORITHMS[self.algorithm])}"
+                f"{', '.join(families)}"
             )
         if self.gamma not in GAMMAS:
             raise ConfigError(f"unknown gamma oracle {self.gamma!r}")
         if self.search_policy not in SEARCH_POLICIES:
             raise ConfigError(f"unknown search policy {self.search_policy!r}")
+        if not self.epsilons:
+            raise ConfigError("need at least one epsilon")
         for eps in self.epsilons:
             if not 0.0 < eps < 1.0:
                 raise ConfigError(f"epsilon {eps} outside (0,1)")
@@ -183,6 +174,9 @@ class ExperimentConfig:
             raise ConfigError(f"bad target {self.target!r}: {e}") from None
         if self.algorithm in ("al", "alarch"):
             build_gamma(self, noise)
+        if (self.algorithm == "al" and self.seed_examples
+                and _cal_start_space(self).is_empty()):
+            raise ConfigError("no hypothesis of the class fits seed_examples")
         if self.algorithm == "binary-search-demo" and not all(
             isinstance(t, Threshold) for t in targets
         ):
@@ -337,59 +331,13 @@ def make_bundle(config: ExperimentConfig, target, seed: int) -> OracleBundle:
 
 
 def run_cell(config: ExperimentConfig, seed: int, epsilon: float) -> ResultRow:
-    """One (seed, epsilon) cell: fresh bundle, one run, one row.
-
-    ``iterations`` is the algorithm's own progress unit: SEARCH probes for
-    the demo, epochs for the samplers, loop rounds for the nested-class
-    learners, timeline rows for the anytime learner, draws for the passive
-    baseline.
-    """
+    """One (seed, epsilon) cell: fresh bundle, one run (the algorithm's
+    ``ALGORITHMS`` runner), one row."""
     target = build_target(config, epsilon)
     bundle = make_bundle(config, target, seed)
     t0 = time.perf_counter()
-    alg = config.algorithm
-    if alg == "binary-search-demo":
-        h, _ = run_binary_search_demo(bundle, epsilon)
-        iterations = bundle.ledger.search_queries
-    elif alg == "cal":
-        v0 = _cal_start_space(config)
-        res = run_cal(v0, bundle, epsilon, config.delta)
-        iterations = res.epochs
-        h = (
-            res.final_version_space.canonical_member()
-            if not res.empty
-            else None
-        )
-    elif alg == "larch":
-        h, _, trace = run_larch(build_sequence(config), bundle, epsilon,
-                                config.delta)
-        iterations = len(trace)
-    elif alg == "seabel":
-        h, _, trace = run_seabel(build_sequence(config), bundle, epsilon,
-                                 config.delta)
-        iterations = len(trace)
-    elif alg == "al":
-        out = run_al(_cal_start_space(config), bundle,
-                     build_gamma(config, bundle.noise), epsilon, config.delta)
-        h = out.hypothesis
-        iterations = out.halting_epoch
-    elif alg == "alarch":
-        h, _, rounds, _ = run_alarch(
-            build_sequence(config), bundle,
-            build_gamma(config, bundle.noise), epsilon, config.delta,
-        )
-        iterations = len(rounds)
-    elif alg == "aalarch":
-        res = run_aalarch(
-            build_sequence(config), bundle, config.delta, config.n_cap,
-            config.cost_cap,
-        )
-        h = res.solution
-        iterations = len(res.timeline)
-    elif alg == "passive-baseline":
-        h, iterations = _run_passive(config, bundle, epsilon)
-    else:  # pragma: no cover - validate() guards this
-        raise ConfigError(alg)
+    _, run = ALGORITHMS[config.algorithm]
+    h, iterations = run(config, bundle, epsilon)
     wall = time.perf_counter() - t0
     err = bundle.exact_error(h) if h is not None else 1.0
     led = bundle.ledger
@@ -398,6 +346,51 @@ def run_cell(config: ExperimentConfig, seed: int, epsilon: float) -> ResultRow:
         led.search_queries, led.unlabeled_draws, led.cost, err, iterations,
         wall,
     )
+
+
+# Runners: (config, bundle, epsilon) -> (hypothesis or None, iterations), the
+# latter in the algorithm's own unit: the demo's SEARCH probes, the samplers'
+# epochs, the nested learners' rounds, the anytime timeline's rows or passive draws.
+# Each looks its learner up in this module when it runs, so a patched wrapper sees it.
+
+
+def _run_demo(config, bundle, epsilon) -> tuple:
+    return run_binary_search_demo(bundle, epsilon)[0], bundle.ledger.search_queries
+
+
+def _run_cal(config, bundle, epsilon) -> tuple:
+    res = run_cal(_cal_start_space(config), bundle, epsilon, config.delta)
+    h = None if res.empty else res.final_version_space.canonical_member()
+    return h, res.epochs
+
+
+def _run_larch(config, bundle, epsilon) -> tuple:
+    h, _, trace = run_larch(build_sequence(config), bundle, epsilon, config.delta)
+    return h, len(trace)
+
+
+def _run_seabel(config, bundle, epsilon) -> tuple:
+    h, _, trace = run_seabel(build_sequence(config), bundle, epsilon, config.delta)
+    return h, len(trace)
+
+
+def _run_al(config, bundle, epsilon) -> tuple:
+    out = run_al(_cal_start_space(config), bundle,
+                 build_gamma(config, bundle.noise), epsilon, config.delta)
+    return out.hypothesis, out.halting_epoch
+
+
+def _run_alarch(config, bundle, epsilon) -> tuple:
+    h, _, rounds, _ = run_alarch(build_sequence(config), bundle,
+                                 build_gamma(config, bundle.noise), epsilon,
+                                 config.delta)
+    return h, len(rounds)
+
+
+def _run_aalarch(config, bundle, epsilon) -> tuple:
+    res = run_aalarch(build_sequence(config), bundle, config.delta,
+                      config.n_cap, config.cost_cap)
+    return res.solution, len(res.timeline)
 
 
 def _cal_start_space(config: ExperimentConfig):
@@ -438,6 +431,22 @@ def _run_passive(config, bundle, epsilon) -> tuple:
         if grown != h:
             h, err = grown, bundle.exact_error(grown)
     return h, steps
+
+
+# each algorithm: (the families it runs on, its runner). The nested-class
+# learners need a sequence (only the interval families define one), the
+# agnostic and anytime learners an explicit finite class
+INTERVALS = ("intervals-exact", "intervals-enumerated")
+ALGORITHMS = {
+    "binary-search-demo": (FAMILIES, _run_demo),
+    "cal": (FAMILIES, _run_cal),
+    "larch": (INTERVALS, _run_larch),
+    "seabel": (INTERVALS, _run_seabel),
+    "al": (("intervals-enumerated", "thresholds-grid"), _run_al),
+    "alarch": (("intervals-enumerated",), _run_alarch),
+    "aalarch": (("intervals-enumerated",), _run_aalarch),
+    "passive-baseline": (FAMILIES, _run_passive),
+}
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:

@@ -356,15 +356,6 @@ def _dedup_examples(examples: Examples) -> tuple[np.ndarray, np.ndarray, bool]:
     return xs[first], ys_first.astype(np.int8), conflict
 
 
-def positive_run_count(examples: Examples) -> int | None:
-    """Number of maximal runs of consecutive +1 labels in x-sorted order,
-    or None when some point carries both labels (no classifier fits)."""
-    xs, ys, conflict = _dedup_examples(examples)
-    if conflict:
-        return None
-    return int(np.count_nonzero(_run_bounds(ys)[0]))
-
-
 class IntervalVersionSpace(_VersionSpace):
     """H_k(S): unions of at most k closed intervals consistent with S."""
 
@@ -926,24 +917,27 @@ class NestedClassSequence:
         cls_k = self.classes[k]
         return MaskedVersionSpace(cls_k, cls_k.consistent_mask(examples))
 
-    def min_consistent_index(self, examples: Examples, k_lo: int = 0) -> int:
-        exs = as_arrays(examples)
+    def least_consistent(self, examples: Examples, k_lo: int = 0) -> VersionSpace:
+        """H_k(S) for the least k >= k_lo where it is nonempty (its ``k``),
+        from one consistency pass: S's run count on the exact backend, a
+        mask scan from k_lo on the enumerated one. ExhaustionError past K_max."""
         if self.backend == "exact-intervals":
-            runs = positive_run_count(exs)
-            if runs is not None:
-                k = max(k_lo, runs)
-                if k <= self.K_max:
-                    return k
-            raise ExhaustionError(
-                f"no consistent class at any k in [{k_lo}, {self.K_max}]"
-            )
-        assert self.classes is not None
-        for k in range(k_lo, self.K_max + 1):
-            if self.classes[k].consistent_mask(exs).any():
-                return k
+            vs = IntervalVersionSpace(k_lo, examples)
+            if vs._runs is not None and max(k_lo, vs._runs) <= self.K_max:
+                vs.k = max(k_lo, vs._runs)
+                return vs
+        else:
+            exs = as_arrays(examples)
+            for cls_k in self.classes[k_lo:]:
+                mask = cls_k.consistent_mask(exs)
+                if mask.any():
+                    return MaskedVersionSpace(cls_k, mask)
         raise ExhaustionError(
             f"no consistent class at any k in [{k_lo}, {self.K_max}]"
         )
+
+    def min_consistent_index(self, examples: Examples, k_lo: int = 0) -> int:
+        return self.least_consistent(examples, k_lo).k
 
 
 # A sequence is pure data, and every cell of a config asks for the same

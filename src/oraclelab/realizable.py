@@ -153,44 +153,42 @@ def run_larch(
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
     s: list[LabeledExample] = []
-    k = 0
     ell = 0
     trace: list[SimpleNamespace] = []
     max_iters = seq.K_max + int(math.ceil(math.log2(1.0 / epsilon))) + 3
-    vs = seq.version_space(k, s)
+    vs = seq.version_space(0, s)
     for i in range(1, max_iters + 1):
-        e = bundle.search_query(vs, k=k)
+        e = bundle.search_query(vs, k=vs.k)
         if e is None:
             if 2.0**-ell <= epsilon:
                 h = vs.canonical_member()
-                trace.append(_larch_row(i, k, ell, "return", vs, h, bundle))
+                trace.append(_larch_row(i, ell, "return", vs, h, bundle))
                 return h, bundle.ledger, trace
             ell += 1
             outcome = "bot"
         else:
             s.append(e)
-            k = seq.min_consistent_index(s)
-            vs = seq.version_space(k, s)
+            vs = seq.least_consistent(s)
             outcome = "counterexample"
         cal = run_cal(vs, bundle, 2.0**-ell, delta / (i * i + i))
         s.extend(cal.examples)
         # CAL's last space is H_k(S) for the extended S: the next SEARCH's
         vs = cal.final_version_space
         h_now = vs.canonical_member() if not vs.is_empty() else None
-        trace.append(_larch_row(i, k, ell, outcome, vs, h_now, bundle))
+        trace.append(_larch_row(i, ell, outcome, vs, h_now, bundle))
     raise RuntimeError(
         f"no convergence within {max_iters} iterations; "
         "is the target realizable within K_max?"
     )
 
 
-def _larch_row(i, k, ell, outcome, vs, h, bundle) -> SimpleNamespace:
+def _larch_row(i, ell, outcome, vs, h, bundle) -> SimpleNamespace:
     """A "larch" record; ``search_result`` is "bot", "counterexample" or
     "return"."""
     mass = 0.0 if vs.is_empty() else vs.dis_region().mass
     err = math.nan if h is None else bundle.exact_error(h)
     return event(
-        "larch", bundle.ledger, i=i, k=k, ell=ell, search_result=outcome,
+        "larch", bundle.ledger, i=i, k=vs.k, ell=ell, search_result=outcome,
         dis_mass=mass, exact_error=err,
     )
 
@@ -231,33 +229,32 @@ def run_seabel(
         i += 1
         s = list(s_prev)
         # constraints: the SEARCH counterexamples so far, then the last batch
-        k = seq.min_consistent_index(_joined(s, t_cur), k_lo=k_prev)
+        vs = seq.least_consistent(_joined(s, t_cur), k_lo=k_prev)
         calls = 0
         cexs = 0
         while True:
-            vs = seq.version_space(k, _joined(s, t_cur))
-            e = bundle.search_query(vs, k=k)
+            e = bundle.search_query(vs, k=vs.k)
             calls += 1
             if e is None:
                 break
             cexs += 1
             s.append(e)
-            k = seq.min_consistent_index(_joined(s, t_cur), k_lo=k + 1)
+            vs = seq.least_consistent(_joined(s, t_cur), k_lo=vs.k + 1)
         batch, _ = sal_batch(vs, bundle, 2 ** (i + 1))
         if strict:
             _assert_sampling_stage(vs, batch, bundle)
-        sigma_value = sigma(seq.d(k), 2**i, delta_schedule(delta, i, k))
+        sigma_value = sigma(seq.d(vs.k), 2**i, delta_schedule(delta, i, vs.k))
         h = vs.canonical_member()
         trace.append(
             event(
-                "seabel", bundle.ledger, i=i, k=k, sigma_value=sigma_value,
+                "seabel", bundle.ledger, i=i, k=vs.k, sigma_value=sigma_value,
                 search_calls=calls, counterexamples=cexs,
                 dis_mass=vs.dis_region().mass, exact_error=bundle.exact_error(h),
             )
         )
         if sigma_value <= epsilon:
             return h, bundle.ledger, trace
-        s_prev, k_prev = s, k
+        s_prev, k_prev = s, vs.k
         t_cur = batch.xs, batch.ys
 
 

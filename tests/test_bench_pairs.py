@@ -1,8 +1,10 @@
-"""The pair runner's summary, on canned numbers (no benchmark run)."""
+"""The pair runner's summary, on canned numbers (no benchmark run), and
+the files it copies for the change side, in a throwaway git repo."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,33 @@ def test_summary_gives_the_verdict_for_bounded_metrics():
     ), BETTER, {"cell_p50_ms": 0.25})
     assert "no_worse" not in s["cells_per_s"]
     assert s["cell_p50_ms"]["no_worse"] == "worse"
+
+
+def test_change_side_copies_tracked_and_untracked_unignored_files(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    files = {
+        ".gitignore": "__pycache__/\n/perfbench/out/\n*.log\n",
+        "src/kept.py": "tracked\n",
+        "src/gone.py": "tracked, then deleted\n",
+        "src/edited.py": "tracked\n",
+    }
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "add", "-A"], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "seed"], cwd=repo, check=True)
+    (repo / "src/gone.py").unlink()
+    (repo / "src/edited.py").write_text("edited\n")
+    for name in ("src/new.py", "src/__pycache__/kept.cpython-311.pyc",
+                 "perfbench/out/run.json", "bench.log"):
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text("x\n")
+    want = [".gitignore", "src/edited.py", "src/kept.py", "src/new.py"]
+    assert bench_pairs.tree_files(repo) == want
+    bench_pairs.copy_tree(repo, dest)
+    got = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert got == want
+    assert (dest / "src/edited.py").read_text() == "edited\n"

@@ -21,7 +21,6 @@ from oraclelab.hypotheses import (
     RegionOfDisagreement,
     ThresholdVersionSpace,
     _dedup_examples,
-    positive_run_count,
     predict,
     segments_mass,
 )
@@ -188,7 +187,13 @@ def test_pairs_and_arrays_build_the_same_space(trial):
     k = int(rng.integers(0, 4))
     a, b = IntervalVersionSpace(k, pairs), IntervalVersionSpace(k, (xs, ys))
     assert a.xs.tolist() == b.xs.tolist() and a.ys.tolist() == b.ys.tolist()
-    assert a._runs == b._runs == positive_run_count(pairs)
+    # the least consistent class of a sequence deeper than any run count
+    deep = NestedClassSequence.exact_intervals(len(pairs))
+    try:
+        runs = deep.min_consistent_index(pairs)
+    except hypotheses.ExhaustionError:
+        runs = None
+    assert a._runs == b._runs == runs
     ex, ey = random_examples(rng, 5, grid)
     a2 = a.with_examples(list(zip(ex.tolist(), ey.tolist())))
     b2 = b.with_examples((ex, ey))

@@ -88,6 +88,44 @@ class TestConfig:
         with pytest.raises(ConfigError, match="noise"):
             small_larch_config(noise=noise).validate()
 
+    @pytest.mark.parametrize("algorithm", ["larch", "seabel",
+                                           "passive-baseline", "cal"])
+    def test_epsilons_must_not_be_empty(self, algorithm):
+        # larch, seabel and the passive baseline took max() over no
+        # targets; the others wrote an empty CSV
+        with pytest.raises(ConfigError, match="at least one epsilon"):
+            small_larch_config(algorithm=algorithm, epsilons=[]).validate()
+
+    @pytest.mark.parametrize("family", ["intervals-exact",
+                                        "intervals-enumerated"])
+    @pytest.mark.parametrize("x", [math.nan, -0.1, 1.5, math.inf])
+    def test_seed_example_x_must_lie_in_the_unit_interval(self, family, x):
+        cfg = small_larch_config(algorithm="cal", family=family,
+                                 seed_examples=[[0.5, 1], [x, -1]])
+        with pytest.raises(ConfigError, match=r"seed_examples .*\[0,1\]"):
+            cfg.validate()
+        cfg.seed_examples = [[0.5, 1], [1.0, -1]]
+        cfg.validate()
+
+    @pytest.mark.parametrize("family,target,misfit,fit", [
+        ("thresholds-grid", {"type": "threshold", "w": 0.5},
+         [[0.2, 1], [0.7, -1]], [[0.2, -1], [0.7, 1]]),
+        ("intervals-enumerated",
+         {"type": "interval_union", "intervals": [[0.3, 0.6]]},
+         [[0.2, 1], [0.5, -1], [0.8, 1]], [[0.2, 1], [0.5, -1], [0.8, -1]]),
+    ])
+    def test_al_seed_set_must_leave_a_hypothesis(self, family, target,
+                                                 misfit, fit):
+        # an emptied start space used to end the cell in
+        # EmptyVersionSpaceError
+        cfg = small_larch_config(algorithm="al", family=family, k_max=1,
+                                 target=target, seed_examples=misfit)
+        with pytest.raises(ConfigError, match="fits seed_examples"):
+            cfg.validate()
+        cfg.seed_examples = fit
+        cfg.validate()
+        assert not _cal_start_space(cfg).is_empty()
+
     def test_json_roundtrip(self):
         cfg = small_larch_config()
         again = ExperimentConfig.from_json(cfg.to_json())
@@ -173,7 +211,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "algorithm,family",
-        [(a, f) for a, families in ALGORITHMS.items() for f in families],
+        [(a, f) for a, (families, _) in ALGORITHMS.items() for f in families],
     )
     def test_every_accepted_family_runs_a_cell(self, algorithm, family):
         # validate() passes exactly the pairs ALGORITHMS lists; each of
@@ -366,6 +404,16 @@ class TestCliConfigErrors:
             ({}, ["--set", "cost_cap=0"], "cost_cap 0 must be"),
             ({"algorithm": "aalarch", "family": "intervals-enumerated"},
              ["--set", "cost_cap=-1"], "cost_cap -1 must be"),
+            # no epsilon; a seed x off [0,1]; al seeds that fit no member
+            ({}, ["--set", "epsilons=[]"], "need at least one epsilon"),
+            ({"algorithm": "cal"}, ["--set", "seed_examples=[[NaN, 1]]"],
+             "seed_examples must be"),
+            ({"algorithm": "cal"}, ["--set", "seed_examples=[[1.5, 1]]"],
+             "seed_examples must be"),
+            ({"algorithm": "al", "family": "thresholds-grid",
+              "target": {"type": "threshold", "w": 0.5}},
+             ["--set", "seed_examples=[[0.2, 1], [0.7, -1]]"],
+             "fits seed_examples"),
         ],
     )
     def test_one_line_and_nonzero_exit(self, tmp_path, capsys, fields,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from oraclelab.hypotheses import (
     disagreement_coefficient_estimate,
     hypothesis_from_json,
     hypothesis_to_json,
-    positive_run_count,
     predict,
     predict_batch,
     symmetric_difference_segments,
@@ -56,18 +57,32 @@ class TestPredict:
             assert all(batch[i] == predict(h, x) for i, x in enumerate(xs))
 
 
+def run_count(examples) -> int | None:
+    """Positive runs of the examples in x order, read as the least
+    consistent class of a sequence deep enough for any run count; None
+    when some x carries both labels."""
+    examples = list(examples)
+    try:
+        return NestedClassSequence.exact_intervals(
+            len(examples)
+        ).min_consistent_index(examples)
+    except ExhaustionError:
+        return None
+
+
 class TestRealizability:
     """A sample fits some union of <= k closed intervals iff its positive
     runs number at most k."""
 
     def test_three_points(self):
-        assert positive_run_count(THREE_POINTS) == 2
+        assert run_count(THREE_POINTS) == 2
 
     def test_empty_set(self):
-        assert positive_run_count([]) == 0
+        assert run_count([]) == 0
 
     def test_conflicting_duplicate_is_unrealizable(self):
-        assert positive_run_count([(0.3, 1), (0.3, -1)]) is None
+        assert run_count([(0.3, 1), (0.3, -1)]) is None
+        assert IntervalVersionSpace(5, [(0.3, 1), (0.3, -1)])._runs is None
         with pytest.raises(ExhaustionError):
             NestedClassSequence.exact_intervals(5).min_consistent_index(
                 [(0.3, 1), (0.3, -1)]
@@ -83,7 +98,7 @@ class TestRealizability:
             xs = rng.choice(grid[1:-1], size=n, replace=False)
             ys = rng.choice([-1, 1], size=n)
             s = list(zip(xs.tolist(), ys.tolist()))
-            runs = positive_run_count(s)
+            runs = run_count(s)
             assert (runs is not None and runs <= 1) == bool(
                 gridref.survivors(hyps1, s)
             )
@@ -130,6 +145,68 @@ class TestMinConsistentIndex:
                 kn = None
             # grid endpoints make every run coverable on-grid, so they agree
             assert ke == kn
+
+
+def index_then_build(seq, examples, k_lo):
+    """The step least_consistent replaces: find the least consistent
+    index by its own pass (a run count on the exact backend, a mask scan
+    on the enumerated one), then build that class's version space."""
+    if seq.backend == "exact-intervals":
+        labels: dict = {}
+        for x, y in examples:
+            if labels.setdefault(x, y) != y:
+                raise ExhaustionError("some x carries both labels")
+        ys = [labels[x] for x in sorted(labels)]
+        runs = sum(y == 1 and (i == 0 or ys[i - 1] != 1) for i, y in enumerate(ys))
+        k = max(k_lo, runs)
+    else:
+        k = next((k for k in range(k_lo, seq.K_max + 1)
+                  if seq.classes[k].consistent_mask(examples).any()), math.inf)
+    if k > seq.K_max:
+        raise ExhaustionError(f"no consistent class from {k_lo}")
+    return seq.version_space(k, examples)
+
+
+class TestLeastConsistent:
+    @pytest.mark.parametrize("backend", ["exact", "enumerated"])
+    @pytest.mark.parametrize("trial", range(30))
+    def test_matches_index_then_build(self, backend, trial):
+        rng = np.random.default_rng(4100 + trial)
+        k_max = int(rng.integers(0, 4))
+        grid = np.linspace(0.0, 1.0, 9)
+        if backend == "exact":
+            seq = NestedClassSequence.exact_intervals(k_max)
+        else:
+            seq = NestedClassSequence.enumerated_intervals(k_max, resolution=9)
+        n = int(rng.integers(0, 8))
+        xs = rng.choice(grid, n, replace=False)
+        if backend == "exact" and trial % 2:
+            xs = rng.random(n)
+        ys = rng.choice([-1, 1], n)
+        examples = list(zip(xs.tolist(), ys.tolist()))
+        if n and trial % 3 == 0:  # one x carrying both labels
+            examples.insert(int(rng.integers(n)), (examples[0][0], -examples[0][1]))
+        for k_lo in range(k_max + 2):
+            try:
+                want = index_then_build(seq, examples, k_lo)
+            except ExhaustionError:
+                with pytest.raises(ExhaustionError):
+                    seq.least_consistent(examples, k_lo)
+                with pytest.raises(ExhaustionError):
+                    seq.min_consistent_index(examples, k_lo)
+                continue
+            got = seq.least_consistent(examples, k_lo)
+            assert got.k == want.k == seq.min_consistent_index(examples, k_lo)
+            assert got.k >= k_lo and not got.is_empty()
+            if backend == "exact":
+                assert got.xs.tolist() == want.xs.tolist()
+                assert got.ys.tolist() == want.ys.tolist()
+                assert [b.tolist() for b in got._bounds] == [
+                    b.tolist() for b in want._bounds
+                ]
+            else:
+                assert got.cls is want.cls
+                assert np.array_equal(got.mask, want.mask)
 
 
 class TestThresholdVersionSpace:

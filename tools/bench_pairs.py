@@ -4,14 +4,17 @@
   python3 tools/bench_pairs.py --parent REV --label L --pairs N \
       [--workload W ...]
 
-Run from the root of a checkout: the change side is this checkout's
-working tree, the parent side ``git archive REV`` unpacked into a
-temporary directory. For each workload (all of BENCHMARK.json's by
-default) and each pair, ``perfbench/run.py --trace 0`` runs once on
-each side, for BENCHMARK.json's ``run_seconds``, at seed FIRST_SEED +
-pair index. The side that runs first alternates from pair to pair, so a
-drift of the host over the session falls on both sides alike. Only paired runs in one session can
-back a claim: the same code can run twice as fast on another day.
+Run from the root of a checkout. Both sides run from fresh trees in two
+sibling temporary directories: the parent side is ``git archive REV``
+unpacked, the change side a copy of the working tree's tracked and
+untracked, non-ignored files (``tree_files``), so neither side carries
+``__pycache__`` or ``perfbench/out``. For each workload (all of
+BENCHMARK.json's by default) and each pair, ``perfbench/run.py --trace
+0`` runs once on each side, for BENCHMARK.json's ``run_seconds``, at
+seed FIRST_SEED + pair index. The side that runs first alternates from
+pair to pair, so a drift of the host over the session falls on both
+sides alike. Only paired runs in one session can back a claim: the same
+code can run twice as fast on another day.
 
 The summary holds, per end-to-end metric, each side's median and
 quartiles, the number of pairs the change won (strictly better, in the
@@ -33,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -145,6 +149,22 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": numpy_version}
 
 
+def tree_files(root: Path) -> list[str]:
+    """The working tree's files as git sees them: tracked ones that still
+    exist, plus untracked ones that no ignore rule covers."""
+    out = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True).stdout.decode()
+    return sorted({n for n in out.split("\0") if n and (root / n).is_file()})
+
+
+def copy_tree(root: Path, dest: Path) -> None:
+    """Copy ``tree_files(root)`` into dest, keeping their paths."""
+    for name in tree_files(root):
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(root / name, dest / name)
+
+
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
@@ -207,24 +227,29 @@ def main(argv=None) -> int:
     report = {
         "label": args.label,
         "parent": rev,
-        "change": "working tree of the checkout",
+        "change": "working tree of the checkout: tracked and untracked, "
+                  "non-ignored files",
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace 0",
         "protocol": (
-            "same session; the parent (git archive) and the change run in "
-            "turn, the side that runs first alternating from pair to pair; "
+            "same session; the parent (git archive) and the change (a copy "
+            "of the working tree), each unpacked into a sibling temporary "
+            "directory, run in turn, the side that runs first alternating "
+            "from pair to pair; "
             f"pair i runs at seed {FIRST_SEED} + i"),
         "machine": machine(),
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        sides["parent"].mkdir()
         archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT,
                                    stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", tmp], stdin=archive.stdout,
-                       check=True)
+        subprocess.run(["tar", "-x", "-C", str(sides["parent"])],
+                       stdin=archive.stdout, check=True)
         if archive.wait() != 0:
             raise SystemExit(f"git archive {rev} failed")
-        sides = {"parent": Path(tmp), "change": ROOT}
+        copy_tree(ROOT, sides["change"])
         for workload in workloads:
             pairs = []
             for i in range(args.pairs):
