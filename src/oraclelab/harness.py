@@ -174,7 +174,7 @@ class ExperimentConfig:
             raise ConfigError(f"bad target {self.target!r}: {e}") from None
         if self.algorithm in ("al", "alarch"):
             build_gamma(self, noise)
-        if (self.algorithm == "al" and self.seed_examples
+        if (self.algorithm in ("al", "cal") and self.seed_examples
                 and _cal_start_space(self).is_empty()):
             raise ConfigError("no hypothesis of the class fits seed_examples")
         if self.algorithm == "binary-search-demo" and not all(

@@ -766,7 +766,7 @@ class MaskedVersionSpace(_VersionSpace):
             np.ones(len(cls), dtype=bool) if mask is None else mask.astype(bool)
         )
         self._survivor_table: np.ndarray | None = None
-        self._code_verdict: np.ndarray | None = None
+        self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def vc_dim(self) -> int:
@@ -788,43 +788,42 @@ class MaskedVersionSpace(_VersionSpace):
     def with_examples(self, extra: Examples) -> "MaskedVersionSpace":
         return self.replace_mask(self.mask & self.cls.consistent_mask(extra))
 
-    def _breakpoints(self) -> np.ndarray:
-        """0, 1 and every real endpoint of a survivor."""
-        cls = self.cls
-        # np.compress gathers rows several times faster than a boolean index
-        ends = np.concatenate(
-            [np.compress(self.mask, c, axis=0) for c in (cls._lo, cls._hi)], axis=None
-        )
-        used = np.zeros(len(cls.grid), dtype=bool)
-        used[(ends[ends > 0] - 1) // 2] = True  # real codes are 2j+1
-        return np.unique(np.concatenate(([0.0, 1.0], cls.grid[used])))
+    def _endpoint_pass(self) -> tuple[np.ndarray, np.ndarray]:
+        """(verdict per cell code, breakpoints) from one gather of the
+        survivors' slot endpoints. A code's coverage, the number of
+        survivors predicting +1 in its cell, is a running sum of slots
+        opening (lo) minus slots closed below it (hi + 1); an unused slot
+        (0..-1) cancels at code 0. The verdict is +1 at full coverage, -1
+        at none and 0 otherwise; the breakpoints are 0, 1 and every grid
+        point where a survivor's slot opens or closes."""
+        if self._endpoints is None:
+            cls = self.cls
+            # np.compress gathers rows several times faster than a boolean index
+            lo, hi = (np.compress(self.mask, c, axis=0) for c in (cls._lo, cls._hi))
+            opens = np.bincount(lo.ravel(), minlength=cls._n_codes)
+            closes = np.bincount(hi.ravel() + 1, minlength=cls._n_codes)
+            coverage = np.cumsum(opens - closes)
+            verdict = np.where(coverage > 0, 0, NEG).astype(np.int8)
+            verdict[coverage == len(lo)] = POS
+            # grid[j] is code 2j+1: a slot opens there, or closes just above
+            used = (opens[1::2] > 0) | (closes[2::2] > 0)
+            breaks = np.unique(np.concatenate(([0.0, 1.0], cls.grid[used])))
+            self._endpoints = verdict, breaks
+        return self._endpoints
 
-    def _columns(self) -> np.ndarray:
-        """The survivors' columns of the class table, (codes, survivors)."""
-        return np.compress(self.mask, self.cls.table(), axis=1)
+    def _breakpoints(self) -> np.ndarray:
+        return self._endpoint_pass()[1]
 
     def survivor_rows(self, xs: np.ndarray) -> np.ndarray:
         """Positive predictions of every survivor at each point, as
-        (points, survivors). The columns are gathered once per space and
-        kept, so no lookup spans the whole class."""
+        (points, survivors). Their table columns are gathered once per
+        space and kept, so no lookup spans the whole class."""
         if self._survivor_table is None:
-            self._survivor_table = self._columns()
+            self._survivor_table = np.compress(self.mask, self.cls.table(), axis=1)
         return self._survivor_table[self.cls.codes(xs)]
 
-    def _code_verdicts(self) -> np.ndarray:
-        """Per cell code of the class grid: the unanimous survivor label,
-        or 0 where the survivors disagree. Every point of a code's cell
-        gets the same predictions, so this table is the whole verdict."""
-        if self._code_verdict is None:
-            rows = self._columns()
-            all_pos = rows.all(axis=1)
-            verdict = np.where(all_pos, POS, NEG).astype(np.int8)
-            verdict[rows.any(axis=1) & ~all_pos] = 0
-            self._code_verdict = verdict
-        return self._code_verdict
-
     def _rule(self, xs: np.ndarray) -> np.ndarray:
-        return self._code_verdicts()[self.cls.codes(xs)]
+        return self._endpoint_pass()[0][self.cls.codes(xs)]
 
     # bound in this class's own namespace, where perfbench's tracer wraps it
     partition = _VersionSpace.partition
@@ -942,8 +941,8 @@ class NestedClassSequence:
 
 # A sequence is pure data, and every cell of a config asks for the same
 # one. The bound keeps memory flat when many keys pass through (validate
-# draws ten): the k=3, r=21 sequence alone keeps 13.5 MB alive once its
-# classes have built their tables. ``__wrapped__`` builds a fresh one.
+# draws ten): the k=3, r=21 sequence keeps 6.9 MB of code ranges alive,
+# 13.5 MB with every class table built. ``__wrapped__`` builds a fresh one.
 @functools.lru_cache(maxsize=4)
 def _enumerated_intervals(K_max: int, resolution: int) -> NestedClassSequence:
     # class size grows like resolution^(2k); 21 points keep the k=2,3

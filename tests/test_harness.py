@@ -126,6 +126,24 @@ class TestConfig:
         cfg.validate()
         assert not _cal_start_space(cfg).is_empty()
 
+    @pytest.mark.parametrize("family", ["intervals-exact", "intervals-enumerated",
+                                        "thresholds-exact", "thresholds-grid"])
+    def test_cal_seed_set_must_leave_a_hypothesis(self, family):
+        # CAL started from an emptied space and wrote rows with
+        # exact_error 1 and 0 iterations, drawing and querying nothing
+        thresholds = family.startswith("thresholds")
+        target = ({"type": "threshold", "w": 0.5} if thresholds
+                  else {"type": "interval_union", "intervals": [[0.3, 0.6]]})
+        misfit = ([[0.2, 1], [0.7, -1]] if thresholds
+                  else [[0.2, 1], [0.5, -1], [0.8, 1]])
+        cfg = small_larch_config(algorithm="cal", family=family, k_max=1,
+                                 target=target, seed_examples=misfit)
+        with pytest.raises(ConfigError, match="fits seed_examples"):
+            cfg.validate()
+        cfg.seed_examples = misfit[:1]
+        cfg.validate()
+        assert not _cal_start_space(cfg).is_empty()
+
     def test_json_roundtrip(self):
         cfg = small_larch_config()
         again = ExperimentConfig.from_json(cfg.to_json())
@@ -413,6 +431,11 @@ class TestCliConfigErrors:
             ({"algorithm": "al", "family": "thresholds-grid",
               "target": {"type": "threshold", "w": 0.5}},
              ["--set", "seed_examples=[[0.2, 1], [0.7, -1]]"],
+             "fits seed_examples"),
+            # cal seeds that fit no member of one interval
+            ({"algorithm": "cal"},
+             ["--set", "k_max=1",
+              "--set", "seed_examples=[[0.2, 1], [0.5, -1], [0.8, 1]]"],
              "fits seed_examples"),
         ],
     )
