@@ -35,7 +35,7 @@ from .hypotheses import (
     MaskedVersionSpace,
     NestedClassSequence,
 )
-from .oracles import DrawnExample, OracleBundle, QueryLedger, event, sal_batch
+from .oracles import DrawnExample, OracleBundle, QueryLedger, event
 from .oracles import sal_step  # noqa: F401  (perfbench's tracer probes this binding)
 
 __all__ = [
@@ -417,8 +417,10 @@ def run_aalarch(
     s: list[LabeledExample] = []
     vs = seq.version_space(0, [])
     assert isinstance(vs, MaskedVersionSpace)
-    working: list[DrawnExample] = []
-    tilde_len = 0
+    # committed (xs, ys, queried, shadow_ys) blocks, size points; the
+    # trusted snapshot is the first tilde_blocks of them, tilde_len points
+    working: list[tuple[np.ndarray, ...]] = []
+    size = tilde_blocks = tilde_len = 0
     i = 0
     solution: Hypothesis | None = None
     solution_err = math.nan
@@ -453,11 +455,11 @@ def run_aalarch(
                 diag["hstar_in_vs"] = j < len(vs.mask) and bool(vs.mask[j])
             diag["errh_bound"] = _errh_bound(
                 bundle.noise.nu, seq, diagnostics.kstar,
-                max(len(working), 1), max(i, 1), delta,
+                max(size, 1), max(i, 1), delta,
             )
         trace.append(
             event(
-                kind, bundle.ledger, i=i, k=k, working_size=len(working),
+                kind, bundle.ledger, i=i, k=k, working_size=size,
                 verified_size=tilde_len, labels_since_reset=c, **diag,
             )
         )
@@ -465,13 +467,14 @@ def run_aalarch(
     def restart(kind: str, e: LabeledExample | None) -> None:
         """Upgrade the class (past the counterexample e, if any) and roll
         the working dataset back to the trusted snapshot."""
-        nonlocal k, s, vs, working, discarded, unverified, block
+        nonlocal k, s, vs, size, discarded, unverified, block
         k, s, vs = upgrade_version_space(k, s, e, seq)
         vs = prune_version_space(
             tracker.committed, vs, tilde_len, delta, max(i, 1)
         )
-        discarded += len(working) - tilde_len
-        working = working[:tilde_len]
+        discarded += size - tilde_len
+        del working[tilde_blocks:]
+        size = tilde_len
         tracker.rollback()
         unverified += 1
         block = _FIRST_BLOCK
@@ -480,8 +483,8 @@ def run_aalarch(
     def verify() -> None:
         """A SEARCH answered None: the working dataset becomes the trusted
         snapshot and the surviving empirical minimizer the solution."""
-        nonlocal tilde_len, solution, solution_index, solution_err
-        tilde_len = len(working)
+        nonlocal tilde_blocks, tilde_len, solution, solution_index, solution_err
+        tilde_blocks, tilde_len = len(working), size
         tracker.commit()
         surv = vs.survivor_indices()
         if len(surv):
@@ -501,49 +504,41 @@ def run_aalarch(
         c = 0
         upgraded = False
         while True:  # sampling round; exits on label budget, size, or upgrade
-            if error_check(
-                tracker.counts, vs, len(working), delta, max(i, 1), seq
-            ):
+            if error_check(tracker.counts, vs, size, delta, max(i, 1), seq):
                 restart("ec-upgrade", None)
                 upgraded = True
                 break
-            if bundle.ledger.cost >= cost_cap or len(working) >= n_cap:
+            if bundle.ledger.cost >= cost_cap or size >= n_cap:
                 break
             n = min(
                 block,
-                n_cap - len(working),
+                n_cap - size,
                 max(1, _BLOCK_ELEMENTS // int(np.count_nonzero(vs.mask))),
             )
             peek = bundle.peek_sal(vs, n)
             m, pruned, ends = _block_length(
-                seq, vs, tracker.counts, peek, len(working), i, c,
+                seq, vs, tracker.counts, peek, size, i, c,
                 bundle.ledger, delta, cost_cap, searched is vs,
             )
-            # one sal_batch per round, so the ledger and the transcript
-            # interleave draws, labels and SEARCHes as step by step
+            # each round is charged from the streams the peek restored, as
+            # step by step: one draw, then one LABEL for its queried points
             start = 0
             for end in ends + [m]:
-                batch, n_queried = sal_batch(vs, bundle, end - start)
-                # the peek already classified these draws, so the batch's
-                # own inferred labels are never built
                 xs, ys, queried = (col[start:end] for col in peek)
-                assert (
-                    np.array_equal(batch.xs, xs)
-                    and np.array_equal(batch.queried, queried)
-                    and np.array_equal(batch.queried_ys, ys[queried])
-                ), "sal_batch drew other steps than the peek"
+                n_queried = int(np.count_nonzero(queried))
+                drawn = bundle.draw(len(xs))
+                assert np.array_equal(drawn, xs), "the commit drew other points"
+                if n_queried:
+                    answers = bundle.label_query_batch(xs[queried])
+                    assert (answers == ys[queried]).all(), "the commit got other labels"
                 # a queried point's shadow label is its label; the
                 # inferred ones draw theirs from the shadow stream, in
                 # draw order
                 shadow_ys = ys.copy()
                 if n_queried < len(xs):
                     shadow_ys[~queried] = bundle.shadow_labels(xs[~queried])
-                working.extend(
-                    map(
-                        DrawnExample, xs.tolist(), ys.tolist(),
-                        queried.tolist(), shadow_ys.tolist(),
-                    )
-                )
+                working.append((xs, ys, queried, shadow_ys))
+                size += len(xs)
                 tracker.extend(xs, ys)
                 i += len(xs)
                 c += n_queried
@@ -554,13 +549,11 @@ def run_aalarch(
                     c = 0
                 start = end
             if pruned:
-                vs = prune_version_space(
-                    tracker.counts, vs, len(working), delta, i
-                )
+                vs = prune_version_space(tracker.counts, vs, size, delta, i)
                 block = _FIRST_BLOCK
             elif m == n:
                 block *= 2
-            if c >= tau or len(working) >= n_cap:
+            if c >= tau or size >= n_cap:
                 break
         if upgraded:
             continue  # restart the round, resetting the label counter
@@ -579,7 +572,7 @@ def run_aalarch(
         bundle.ledger,
         solution,
         k,
-        working,
+        [DrawnExample(*r) for b in working for r in zip(*(c.tolist() for c in b))],
         tilde_len,
         unverified,
         discarded,

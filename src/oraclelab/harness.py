@@ -62,7 +62,10 @@ class ExperimentConfig:
     {"type": "auto-interval", "width_factor": w, "center": c} builds a
     per-epsilon interval of width w*epsilon around c, which is how the
     oracle-separation experiments tie the rare-class mass to the accuracy
-    target. Enumerated families snap interval targets onto the class grid.
+    target. Only interval_union targets on intervals-enumerated and
+    threshold targets on thresholds-grid are snapped onto the class grid;
+    larch and seabel on intervals-enumerated reject a target with an
+    endpoint off it.
     """
 
     algorithm: str
@@ -192,6 +195,17 @@ class ExperimentConfig:
                     f"{self.algorithm} needs a target of at most k_max="
                     f"{self.k_max} intervals; the target has {most}"
                 )
+            # larch and seabel on intervals-enumerated take it from the
+            # enumerated classes, whose endpoints are grid points
+            grid = np.linspace(0.0, 1.0, self.resolution)
+            off = [v for t in targets for seg in positive_segments(t)
+                   for v in seg if v not in grid]
+            if off and self.family == "intervals-enumerated" and (
+                    self.algorithm != "passive-baseline"):
+                raise ConfigError(
+                    f"{self.algorithm} on intervals-enumerated needs a target "
+                    f"on the resolution={self.resolution} grid; its endpoint "
+                    f"{off[0]!r} is off it, next to {_snap_to_grid(off[0], grid)!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

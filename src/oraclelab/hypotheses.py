@@ -626,7 +626,6 @@ class EnumeratedClass:
                 f"{class_id}: real slots must be sorted, disjoint intervals "
                 "in [0,1] ahead of the empty ones"
             )
-        self._table: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._lo)
@@ -639,7 +638,6 @@ class EnumeratedClass:
         sub = copy.copy(self)
         sub.class_id, sub.k, sub.vc_dim = class_id, k, vc_dim
         sub._lo, sub._hi = self._lo[:n], self._hi[:n]
-        sub._table = None
         return sub
 
     def hypothesis(self, index: int) -> Hypothesis:
@@ -672,26 +670,10 @@ class EnumeratedClass:
         j = np.searchsorted(self.grid, xs)
         return 2 * j + (self._probe[j] == xs)
 
-    def table(self) -> np.ndarray:
-        """The (codes, members) positive-prediction table, built on first
-        use."""
-        if self._table is None:
-            c = np.arange(self._n_codes)[:, None]
-            table = np.zeros((len(c), len(self)), dtype=bool)
-            for s in range(self._lo.shape[1]):
-                table |= (c >= self._lo[:, s]) & (c <= self._hi[:, s])
-            table.setflags(write=False)
-            self._table = table
-        return self._table
-
-    def rows(self, xs) -> np.ndarray:
-        """Positive predictions of every member at each point, as rows of
-        the table: (points, members), or (members,) for a scalar."""
-        return self.table()[self.codes(xs)]
-
     def predictions(self, xs: np.ndarray) -> np.ndarray:
         """Boolean positive-prediction matrix, rows = hypotheses."""
-        return np.ascontiguousarray(self.rows(np.asarray(xs, dtype=np.float64)).T)
+        codes = self.codes(np.asarray(xs, dtype=np.float64))
+        return np.ascontiguousarray(_covers(codes, self._lo, self._hi).T)
 
     def err_counts(
         self,
@@ -757,6 +739,17 @@ class EnumeratedClass:
         return mass_h + member_mass(lo, hi) - 2.0 * overlap
 
 
+def _covers(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(points, members): whether a slot of each member covers each cell
+    code, from the members' slot code ranges ``lo``/``hi`` (an unused
+    slot, 0..-1, covers none)."""
+    c = codes[:, None]
+    out = (c >= lo[:, 0]) & (c <= hi[:, 0])
+    for s in range(1, lo.shape[1]):
+        out |= (c >= lo[:, s]) & (c <= hi[:, s])
+    return out
+
+
 class MaskedVersionSpace(_VersionSpace):
     """Survivor mask over an enumerated class."""
 
@@ -765,7 +758,7 @@ class MaskedVersionSpace(_VersionSpace):
         self.mask = (
             np.ones(len(cls), dtype=bool) if mask is None else mask.astype(bool)
         )
-        self._survivor_table: np.ndarray | None = None
+        self._survivor_ends: tuple[np.ndarray, np.ndarray] | None = None
         self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -816,11 +809,13 @@ class MaskedVersionSpace(_VersionSpace):
 
     def survivor_rows(self, xs: np.ndarray) -> np.ndarray:
         """Positive predictions of every survivor at each point, as
-        (points, survivors). Their table columns are gathered once per
-        space and kept, so no lookup spans the whole class."""
-        if self._survivor_table is None:
-            self._survivor_table = np.compress(self.mask, self.cls.table(), axis=1)
-        return self._survivor_table[self.cls.codes(xs)]
+        (points, survivors). The survivors' slot endpoints are gathered
+        once per space and kept, so no comparison spans the whole class."""
+        if self._survivor_ends is None:
+            self._survivor_ends = tuple(
+                np.compress(self.mask, c, axis=0) for c in (self.cls._lo, self.cls._hi)
+            )
+        return _covers(self.cls.codes(xs), *self._survivor_ends)
 
     def _rule(self, xs: np.ndarray) -> np.ndarray:
         return self._endpoint_pass()[0][self.cls.codes(xs)]
@@ -941,8 +936,8 @@ class NestedClassSequence:
 
 # A sequence is pure data, and every cell of a config asks for the same
 # one. The bound keeps memory flat when many keys pass through (validate
-# draws ten): the k=3, r=21 sequence keeps 6.9 MB of code ranges alive,
-# 13.5 MB with every class table built. ``__wrapped__`` builds a fresh one.
+# draws ten): the k=3, r=21 sequence keeps 6.9 MB of code ranges alive.
+# ``__wrapped__`` builds a fresh one.
 @functools.lru_cache(maxsize=4)
 def _enumerated_intervals(K_max: int, resolution: int) -> NestedClassSequence:
     # class size grows like resolution^(2k); 21 points keep the k=2,3
@@ -954,8 +949,7 @@ def _enumerated_intervals(K_max: int, resolution: int) -> NestedClassSequence:
     blocks = [_exact_k_interval_rows(resolution, k, slots) for k in range(K_max + 1)]
     lo, hi = np.concatenate(blocks, axis=1)
     # the sequence is shared: an in-place write raises instead of changing
-    # it under later cells (the prefixes are views, the tables freeze as
-    # they are built)
+    # it under later cells (the prefixes are views)
     for a in (grid, lo, hi):
         a.setflags(write=False)
     top = EnumeratedClass(f"intervals_k{K_max}", K_max, dims[K_max], grid, lo, hi)

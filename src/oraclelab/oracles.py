@@ -168,15 +168,14 @@ class DrawnExample(NamedTuple):
 
 class SalBatch:
     """n selective-sampling records as columns, one entry per draw in
-    draw order; the fields mean what ``DrawnExample``'s do.
+    draw order; the fields mean what ``DrawnExample``'s do, and shadow
+    labels are not drawn.
 
     ``queried_ys`` holds the LABEL answers at ``xs[queried]``. ``ys``,
     every draw's label with the inferred ones filled in from the
     partition the batch was drawn against, is built the first time it is
     read and then kept: CAL reads only the answers and never builds it,
-    SEABEL and the inner agnostic loop read it, and AA-LARCH takes the
-    inferred labels from its ``peek_sal``. Shadow labels are not drawn:
-    their one reader, AA-LARCH, draws them itself."""
+    SEABEL and the inner agnostic loop read it."""
 
     def __init__(self, xs: np.ndarray, queried: np.ndarray,
                  queried_ys: np.ndarray, partition: Partition):
@@ -271,8 +270,8 @@ class OracleBundle:
         the peek classifies every draw. The ledger, the transcript and
         every stream are left as they were: the sampler and noise streams
         are restored after the read-ahead. A ``Generator.random(n)`` call
-        yields what n one-point calls would, so any prefix of the peek is
-        what a shorter batch draws."""
+        yields what n one-point calls would, so the ``draw`` and
+        ``label_query_batch`` calls that commit a prefix answer with it."""
         gens = (self._sampler_rng.bit_generator, self._noise_rng.bit_generator)
         saved = [g.state for g in gens]
         try:
@@ -460,9 +459,8 @@ def sal_step(
 ) -> tuple[list[DrawnExample], int]:
     """Draw one x; query LABEL inside DIS(V), infer the agreement label
     outside. Appends the record to ``labeled`` in place and returns that
-    same list with the updated query counter. No learner calls it: AA-LARCH
-    commits its steps through ``sal_batch``, and the tests keep the
-    per-step loop on it as a reference."""
+    same list with the updated query counter. No learner calls it; the
+    tests keep the per-step loop on it as a reference."""
     x = float(bundle.draw(1)[0])
     if vs.dis_contains(x):
         y = bundle.label_query(x)

@@ -162,7 +162,7 @@ def run_aalarch_stepwise(
             i += 1
             working, c = sal_step(vs, bundle, working, c)
             rec = working[-1]
-            tracker.counts += tracker.top.rows(rec.x) != (rec.y == POS)
+            tracker.counts += tracker.top.predictions([rec.x])[:, 0] != (rec.y == POS)
             vs = prune_version_space(tracker.counts, vs, len(working), delta, i)
             if c >= tau or len(working) >= n_cap:
                 break

@@ -703,6 +703,23 @@ class TestBlockedMatchesStepwise:
         assert {flag for kind, _, flag in log if kind == "scan"} == {True, False}
         assert False in {flag for kind, _, flag in log if kind == "search"}
 
+    @pytest.mark.parametrize("tau, sha256", [
+        (1.0, "70002c87182df9c614292452b8b37e273eb232279195c9b71e17b8beef0ad71a"),
+        (4.0, "ca30a816da57bb95781e79cea899f0bffc1d5041bc649b5c776690ff4b54691b"),
+    ])
+    def test_transcript_pin(self, tau, sha256):
+        # the oracle calls of a blocked run, byte for byte: each committed
+        # round is one draw and then one LABEL for its DIS points, and the
+        # crossed rounds' SEARCHes fall between them
+        seq = NestedClassSequence.enumerated_intervals(2, resolution=13)
+        g = seq.grid
+        transcript: list = []
+        b = rcn_bundle(IntervalUnion(((g[2], g[4]), (g[7], g[10]))), 1,
+                       tau=tau, transcript=transcript)
+        run_aalarch(seq, b, 0.1, 900, 700.0)
+        text = events_to_jsonl(transcript)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
     def test_ec_upgrade_fixture(self):
         # the blocked run matches the pin (TestErrorCheckUpgradePath)
         *_, res = ec_upgrade_run(aalarch_ref.run_aalarch_stepwise)

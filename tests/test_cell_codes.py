@@ -150,7 +150,8 @@ def test_kernels_match_dense_formula(seed):
             assert got.dtype == np.int64
             assert np.array_equal(got, dense_err_counts(bounds, xs, ys, idx))
         for j in rng.choice(len(xs), size=5):
-            assert np.array_equal(cls.rows(float(xs[j])), cls.predictions(xs)[:, j])
+            one = cls.predictions([xs[j]])[:, 0]
+            assert np.array_equal(one, cls.predictions(xs)[:, j])
         exs = list(zip(xs[:6].tolist(), ys[:6].tolist()))
         want = dense_err_counts(bounds, xs[:6], ys[:6]) == 0
         assert np.array_equal(cls.consistent_mask(exs), want)

@@ -68,6 +68,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{name} .* must be finite"):
             cfg.validate()
 
+    @pytest.mark.parametrize("algorithm", ["larch", "seabel"])
+    def test_enumerated_target_must_lie_on_the_grid(self, algorithm):
+        # only interval_union targets are snapped onto that family's grid;
+        # an auto-interval or threshold target off it fits no member
+        def cfg(target, family="intervals-enumerated", **kw):
+            return small_larch_config(algorithm=algorithm, family=family,
+                                      k_max=1, target=target, **kw)
+
+        for target in ({"type": "auto-interval"},
+                       {"type": "threshold", "w": 0.41}):
+            with pytest.raises(ConfigError, match="on the resolution=21 grid"):
+                cfg(target).validate()
+            cfg(target, family="intervals-exact").validate()
+        with pytest.raises(ConfigError, match="endpoint 0.45 is off it"):
+            cfg({"type": "threshold", "w": 0.45}, resolution=11).validate()
+        cfg({"type": "threshold", "w": 0.45}, resolution=21).validate()
+        cfg({"type": "threshold", "w": 0.0}).validate()
+        cfg({"type": "interval_union", "intervals": [[0.31, 0.62]]}).validate()
+        cfg({"type": "interval_union", "intervals": []}).validate()
+        small_larch_config(algorithm="passive-baseline", k_max=1,
+                           family="intervals-enumerated",
+                           target={"type": "auto-interval"}).validate()
+
     def test_unknown_field_in_json(self):
         text = json.dumps({"algorithm": "larch", "epsilon": 0.1})
         with pytest.raises(ConfigError, match="unknown config field.*epsilon"):
@@ -437,6 +460,13 @@ class TestCliConfigErrors:
              ["--set", "k_max=1",
               "--set", "seed_examples=[[0.2, 1], [0.5, -1], [0.8, 1]]"],
              "fits seed_examples"),
+            # larch targets off the enumerated grid
+            ({}, ["--set", 'family="intervals-enumerated"', "--set", "k_max=1",
+                  "--set", 'target={"type": "auto-interval"}'],
+             "off it"),
+            ({}, ["--set", 'family="intervals-enumerated"', "--set", "k_max=1",
+                  "--set", 'target={"type": "threshold", "w": 0.41}'],
+             "endpoint 0.41 is off it"),
         ],
     )
     def test_one_line_and_nonzero_exit(self, tmp_path, capsys, fields,

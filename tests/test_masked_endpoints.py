@@ -1,5 +1,6 @@
 """Masked version spaces: the endpoint-count verdicts and breakpoints
-against the class-table rule, and A-LARCH runs that build no table."""
+against a dense float reference, and the survivors' predictions against
+the class's."""
 
 from __future__ import annotations
 
@@ -7,15 +8,20 @@ import numpy as np
 import pytest
 
 from oraclelab import hypotheses as hyp
-from oraclelab.agnostic import run_alarch
 from oraclelab.hypotheses import MaskedVersionSpace, NestedClassSequence
-from oraclelab.oracles import ConstantGamma, NoiseModel, OracleBundle
+from test_cell_codes import dense_predictions
 
 
-def table_verdicts(vs) -> np.ndarray:
-    """Per cell code: +1 if every survivor's table column is positive
-    there, -1 if none is, 0 otherwise."""
-    cols = np.compress(vs.mask, vs.cls.table(), axis=1)
+def dense_verdicts(vs, pts) -> np.ndarray:
+    """The table rule. Per point: +1 if every survivor predicts +1 there,
+    -1 if none does, 0 otherwise, with the (points, survivors) table of
+    predictions from the dense float formula on the survivors' endpoints
+    (an unused slot reads [1.5, 1.5], which no point reaches)."""
+    cls = vs.cls
+    probe = np.append(cls.grid, 1.5)
+    lo, hi = cls._lo[vs.mask], cls._hi[vs.mask]
+    bounds = np.stack([probe[(lo - 1) // 2], probe[(hi - 1) // 2]], axis=2)
+    cols = dense_predictions(bounds, pts).T
     all_pos = cols.all(axis=1)
     verdict = np.where(all_pos, 1, -1)
     verdict[cols.any(axis=1) & ~all_pos] = 0
@@ -51,7 +57,7 @@ def masks(cls, rng, trials=8):
 
 def fresh_class(k_max, r, k):
     """Class k of a sequence built apart from the shared one, so its
-    table goes when the test ends."""
+    arrays go when the test ends."""
     return hyp._enumerated_intervals.__wrapped__(k_max, r).classes[k]
 
 
@@ -72,7 +78,7 @@ def test_endpoint_pass_matches_table_rule(seed, make):
             continue
         vs = MaskedVersionSpace(cls, mask)
         in_dis, label = vs._verdicts(pts)
-        want = table_verdicts(vs)
+        want = dense_verdicts(vs, pts)
         assert np.array_equal(label, want)
         assert np.array_equal(in_dis, want == 0)
         assert np.array_equal(vs._breakpoints(), endpoint_breaks(vs))
@@ -91,21 +97,26 @@ def test_unused_slots_cancel():
         mask[picks] = True
         vs = MaskedVersionSpace(cls, mask)
         assert (cls._lo[picks] == 0).any()
-        assert np.array_equal(vs._verdicts(pts)[1], table_verdicts(vs))
+        assert np.array_equal(vs._verdicts(pts)[1], dense_verdicts(vs, pts))
         assert np.array_equal(vs._breakpoints(), endpoint_breaks(vs))
 
 
-def test_alarch_builds_no_class_table():
-    seq = hyp._enumerated_intervals.__wrapped__(3, 21)
-    g = seq.grid
-    target = hyp.IntervalUnion(((g[3], g[7]), (g[12], g[17])))
-    bundle = OracleBundle(target, NoiseModel("rcn", eta=0.1), seed=0)
-    h, _, rounds, _ = run_alarch(seq, bundle, ConstantGamma(0.1), 0.1, 0.1)
-    assert max(r.k for r in rounds) >= 2
-    assert all(cls._table is None for cls in seq.classes)
-
-    cls = seq.classes[2]
-    mask = np.random.default_rng(5).random(len(cls)) < 0.3
-    xs = np.random.default_rng(6).random(50)
-    vs = MaskedVersionSpace(cls, mask)
-    assert np.array_equal(vs.survivor_rows(xs), cls.rows(xs)[:, mask])
+@pytest.mark.parametrize("seed, make", [
+    pytest.param(5, lambda: fresh_class(3, 21, 3), id="k3-r21"),
+    pytest.param(6, lambda: NestedClassSequence.threshold_grid(201), id="thresholds-r201"),
+])
+def test_survivor_rows_are_the_survivors_predictions(seed, make):
+    cls = make()
+    rng = np.random.default_rng(seed)
+    # the k<=2 members of the k=3 class leave slots unused; a slot [g, g]
+    # covers the one point code of g
+    if cls.kind == "intervals":
+        assert (cls._lo == 0).any() and (cls._lo[:, 0] == cls._hi[:, 0]).any()
+    # half the points on the grid, where the point codes are
+    xs = np.concatenate([rng.random(40), rng.choice(cls.grid, 40)])
+    for mask in masks(cls, rng):
+        vs = MaskedVersionSpace(cls, mask)
+        want = cls.predictions(xs).T[:, mask]
+        assert np.array_equal(vs.survivor_rows(xs), want)
+        # the second call reads the kept endpoints
+        assert np.array_equal(vs.survivor_rows(xs[::-1]), want[::-1])
