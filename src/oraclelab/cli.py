@@ -5,7 +5,9 @@ growth ratios), ``validate`` (brute-force suite; nonzero exit on any
 mismatch), ``demo`` (SEARCH-only binary search). Config files are JSON in
 the ExperimentConfig schema; repeated ``--set key=value`` flags override
 fields. ORACLELAB_OUT sets the default output directory. A bad config or
-override exits with status 2 and a one-line message.
+override exits with status 2 and a one-line message; a run whose nested
+class sequence holds no consistent class (``ExhaustionError``) exits with
+status 1 and a one-line message.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .harness import (
     sweep_query_complexity,
     validate_against_bruteforce,
 )
-from .hypotheses import Threshold
+from .hypotheses import ExhaustionError, Threshold
 from .oracles import OracleBundle
 from .realizable import run_binary_search_demo
 
@@ -145,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"oraclelab: config error: {e}", file=sys.stderr)
         return 2
+    except ExhaustionError as e:
+        print(f"oraclelab: run error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -347,6 +347,10 @@ def _dedup_examples(examples: Examples) -> tuple[np.ndarray, np.ndarray, bool]:
     winning. Returns (xs, ys, conflict): conflict is True when some x
     also carries the other label."""
     xs, ys = _labeled_arrays(examples)
+    order = np.argsort(xs)  # numpy's SIMD sort, not stable
+    sx = xs[order]
+    if (sx[1:] > sx[:-1]).all():  # distinct: the order is the stable one
+        return sx, ys[order].astype(np.int8), False
     order = np.argsort(xs, kind="stable")  # equal xs keep their input order
     xs, ys = xs[order], ys[order]
     first = np.ones(len(xs), dtype=bool)

@@ -335,8 +335,15 @@ class OracleBundle:
         if not vs.is_empty():
             pts.append(vs.partition().breaks)
         base = np.unique(np.concatenate(pts))
-        mids = 0.5 * (base[:-1] + base[1:])
-        return np.unique(np.concatenate([base, mids]))
+        # each rounded midpoint lies in [base[i], base[i+1]], so base and
+        # its midpoints interleave in order; a midpoint that rounds onto an
+        # endpoint is a repeat, dropped as np.unique would drop it
+        cands = np.empty(2 * len(base) - 1)
+        cands[0::2] = base
+        cands[1::2] = 0.5 * (base[:-1] + base[1:])
+        keep = np.ones(len(cands), dtype=bool)
+        keep[1:] = cands[1:] != cands[:-1]
+        return cands[keep]
 
     def _search(self, vs: VersionSpace) -> LabeledExample | None:
         cands = self._candidates(vs)

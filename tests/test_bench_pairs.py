@@ -125,3 +125,53 @@ def test_change_side_copies_tracked_and_untracked_unignored_files(tmp_path):
     got = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
     assert got == want
     assert (dest / "src/edited.py").read_text() == "edited\n"
+
+
+def test_self_spread_of_identical_code():
+    s = bench_pairs.self_spread(pairs(
+        parent_rate=[10.0, 12.0, 11.0, 9.0],
+        change_rate=[11.0, 10.0, 11.0, 12.0],
+        parent_ms=[20.0, 25.0, 20.0, 40.0],
+        change_ms=[25.0, 20.0, 20.0, 20.0],
+    ), BETTER)
+    rate, ms = s["cells_per_s"], s["cell_p50_ms"]
+    # summarize's fields are kept
+    assert (rate["change_won"], rate["pairs"]) == (2, 4)
+    assert not rate["beyond_parent_iqr"]
+    # pooled runs 9, 10, 10, 11, 11, 11, 12, 12: q1 10, median 11, q3 11.25
+    assert rate["pooled_iqr_over_median"] == pytest.approx(1.25 / 11.0)
+    # gaps 1/10, 2/12, 0, 3/9
+    assert rate["pair_gap_median"] == pytest.approx((1 / 10 + 2 / 12) / 2)
+    assert rate["pair_gap_max"] == pytest.approx(3 / 9)
+    assert ms["change_won"] == 2  # the tie at 20 counts for neither side
+    assert ms["pair_gap_max"] == pytest.approx(0.5)  # 40 against 20
+    # pooled: five 20s, two 25s and a 40: q1 20, median 20, q3 25
+    assert ms["pooled_iqr_over_median"] == pytest.approx(0.25)
+
+
+def test_self_spread_skips_zero_gaps_it_cannot_scale():
+    s = bench_pairs.self_spread(pairs(
+        parent_rate=[0.0, 4.0], change_rate=[1.0, 5.0],
+        parent_ms=[0.0, 0.0], change_ms=[0.0, 0.0],
+    ), BETTER)
+    assert s["cells_per_s"]["pair_gap_max"] == pytest.approx(0.25)
+    assert s["cell_p50_ms"]["pair_gap_median"] is None
+    assert s["cell_p50_ms"]["pooled_iqr_over_median"] is None
+
+
+def test_run_pairs_alternates_the_first_side(monkeypatch):
+    calls = []
+
+    def fake_run_bench(root, workload, seed, seconds):
+        calls.append((root.name, seed))
+        return {"correct": 1, "failed": 0,
+                "metrics": {"cells_per_s": float(seed)}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    sides = {"parent": Path("p"), "change": Path("c")}
+    got = bench_pairs.run_pairs(sides, "w", 3, 1.0)
+    first = bench_pairs.FIRST_SEED
+    assert calls == [("p", first), ("c", first), ("c", first + 1),
+                     ("p", first + 1), ("p", first + 2), ("c", first + 2)]
+    assert [p["first"] for p in got] == ["parent", "change", "parent"]
+    assert [p["seed"] for p in got] == [first, first + 1, first + 2]

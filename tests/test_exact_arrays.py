@@ -24,6 +24,8 @@ from oraclelab.hypotheses import (
     predict,
     segments_mass,
 )
+from oraclelab.oracles import LabeledExample
+from oraclelab.realizable import _joined
 
 
 def dict_dedup(examples):
@@ -523,3 +525,107 @@ def test_dis_query_on_random_interval_spaces(trial):
     got = vs.partition().in_dis(points)
     assert np.array_equal(got, vs._verdicts(points)[0])
     assert np.array_equal(got, vs.partition().classify(points)[0])
+
+
+# ---------------------------------------------------------------------------
+# exact x collisions: the SIMD sort's stable fallback
+# ---------------------------------------------------------------------------
+
+
+def stable_dedup(examples):
+    """The stable-sort dedupe, kept as the reference for the tie rule:
+    the first label seen at an x wins."""
+    xs, ys = hypotheses.as_arrays(examples)
+    order = np.argsort(xs, kind="stable")
+    xs, ys = xs[order], ys[order].astype(np.int8)
+    first = np.ones(len(xs), dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    conflict = bool(np.any(ys != ys[first][np.cumsum(first) - 1]))
+    return xs[first], ys[first], conflict
+
+
+def positive_runs(ys):
+    pos = np.concatenate(([False], ys == 1))
+    return int(np.count_nonzero(pos[1:] & ~pos[:-1]))
+
+
+def assert_same_dedup(got, want):
+    assert got[0].tobytes() == want[0].tobytes()  # -0.0 and 0.0 kept apart
+    assert got[1].dtype == np.int8 and got[1].tolist() == want[1].tolist()
+    assert got[2] == want[2]
+
+
+def batch_with_repeat(rng, n, repeat_label):
+    """A _joined-style constraint set: one counterexample whose x repeats
+    a batch x, in front of the batch, with the batch's label or not."""
+    xs = rng.random(n)
+    ys = np.where((xs > 0.3) & (xs < 0.6), 1, -1).astype(np.int8)
+    x = float(xs[n // 3])
+    y = int(ys[n // 3]) * (1 if repeat_label else -1)
+    return _joined([LabeledExample(x, y)], (xs, ys))
+
+
+def _collision_cases():
+    rng = np.random.default_rng(2400)
+    spread = rng.random(200)  # enough points for the SIMD kernel
+    labels = np.where(spread < 0.5, 1, -1).astype(np.int8)
+    zeros = np.zeros(64)
+    alternating = np.resize(np.array([1, -1], dtype=np.int8), 64)
+    return {
+        "same-label-twice": [(0.5, 1), (0.2, -1), (0.5, 1), (0.7, -1)],
+        "conflict-pos-first": [(0.5, 1), (0.2, -1), (0.5, -1)],
+        "conflict-neg-first": [(0.5, -1), (0.2, -1), (0.5, 1)],
+        "zero-then-negative-zero": [(0.0, 1), (-0.0, 1), (0.4, -1)],
+        "negative-zero-then-zero": [(-0.0, 1), (0.0, 1), (0.4, -1)],
+        "signed-zeros-conflict": [(-0.0, -1), (0.3, 1), (0.0, 1)],
+        "repeat-in-a-spread": (
+            np.concatenate((spread, spread[[7, 150]])),
+            np.concatenate((labels, -labels[[7, 150]])),
+        ),
+        "one-x-many-labels": (zeros, alternating),
+        # many ties per x, which the SIMD sort leaves out of input order
+        "coarse-grid": random_examples(rng, 200, np.linspace(0.0, 1.0, 5)),
+        "joined-same-label": batch_with_repeat(rng, 300, True),
+        "joined-other-label": batch_with_repeat(rng, 300, False),
+        "distinct": (spread, labels),
+    }
+
+
+COLLISIONS = _collision_cases()
+
+
+@pytest.mark.parametrize("case", sorted(COLLISIONS))
+def test_collisions_match_the_stable_reference(case):
+    given = COLLISIONS[case]
+    want = stable_dedup(given)
+    assert_same_dedup(_dedup_examples(given), want)
+    for k in (1, 2, 3):
+        vs = IntervalVersionSpace(k, given)
+        assert vs.xs.tobytes() == want[0].tobytes()
+        assert vs.ys.tolist() == want[1].tolist()
+        runs = None if want[2] else positive_runs(want[1])
+        assert vs._runs == runs
+        assert vs.is_empty() == (want[2] or runs > k)
+
+
+@pytest.mark.parametrize("case", sorted(COLLISIONS))
+def test_collisions_added_later_keep_the_older_label(case):
+    """``with_examples`` merges through the same dedupe; the constraint
+    that was there first wins a repeated x."""
+    xs, ys = hypotheses.as_arrays(COLLISIONS[case])
+    half = len(xs) // 2
+    older = IntervalVersionSpace(3, (xs[:half], ys[:half].astype(np.int8)))
+    vs = older.with_examples((xs[half:], ys[half:].astype(np.int8)))
+    want = stable_dedup((xs, ys))
+    # a merge keeps the older constraint's x, so compare values, not signs
+    assert vs.xs.tolist() == want[0].tolist()
+    assert vs.ys.tolist() == want[1].tolist()
+    assert vs.is_empty() == (want[2] or positive_runs(want[1]) > 3)
+
+
+def test_nan_xs_take_the_stable_path():
+    given = (np.array([np.nan, 0.2, np.nan]), np.array([1, -1, -1]))
+    got = _dedup_examples(given)
+    want = stable_dedup(given)
+    assert got[1].tolist() == want[1].tolist() == [-1, 1, -1]
+    assert np.array_equal(got[0], want[0], equal_nan=True)

@@ -483,6 +483,21 @@ class TestCliConfigErrors:
         assert match in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_exhausted_sequence_is_a_one_line_run_error(self, tmp_path, capsys):
+        """A target the nested sequence cannot fit passes ``validate`` and
+        fails in the learner; the CLI reports it in one line, status 1."""
+        import pathlib
+
+        cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
+        rc = cli.main(["run", "--config", str(cfg_dir / "alarch-rcn.json"),
+                       "--set", "k_max=1",
+                       "--set", "seeds=[0]", "--output", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.strip().splitlines() == [
+            "oraclelab: run error: no consistent class at any k in [2, 1]"]
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestCliSweep:
     def test_sweep_subcommand(self, tmp_path, capsys):

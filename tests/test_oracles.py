@@ -15,10 +15,12 @@ from oraclelab.hypotheses import (
     Partition,
     Threshold,
     ThresholdVersionSpace,
+    positive_segments,
     predict,
 )
 from oraclelab.anytime import run_aalarch
 from oraclelab.oracles import (
+    _FALLBACK_GRID,
     ConstantGamma,
     DrawnExample,
     NoiseModel,
@@ -480,3 +482,55 @@ class TestSearchThresholdCompleteness:
                 assert e is not None, f"missed counterexample (trial {trial})"
             else:
                 assert e is None, f"phantom counterexample (trial {trial})"
+
+
+class TestSearchCandidates:
+    """``_candidates`` interleaves the breakpoints with their midpoints
+    instead of sorting both; the array must be the one ``np.unique`` of
+    both gives, since every SEARCH answer reads it."""
+
+    @staticmethod
+    def unique_candidates(bundle, vs):
+        pts = [np.array([0.0, 1.0]), _FALLBACK_GRID]
+        pts += [np.array(seg) for seg in positive_segments(bundle.target)]
+        if not vs.is_empty():
+            pts.append(vs.partition().breaks)
+        base = np.unique(np.concatenate(pts))
+        mids = 0.5 * (base[:-1] + base[1:])
+        return base, np.unique(np.concatenate([base, mids]))
+
+    def check(self, bundle, vs):
+        base, want = self.unique_candidates(bundle, vs)
+        got = bundle._candidates(vs)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        return base, want
+
+    @pytest.mark.parametrize("trial", range(25))
+    def test_random_breakpoints(self, trial):
+        rng = np.random.default_rng(2500 + trial)
+        target = IntervalUnion(((0.2, 0.45), (0.6, 0.8)))
+        b = make_bundle(target, seed=trial)
+        xs = rng.random(int(rng.integers(0, 400)))
+        vs = IntervalVersionSpace(int(rng.integers(1, 6)),
+                                  (xs, predict_batch(target, xs)))
+        self.check(b, vs)
+
+    @pytest.mark.parametrize("x", [0.3, 0.5, 1.0 / 3.0, 0.0, 5e-324])
+    def test_midpoints_that_round_onto_an_endpoint(self, x):
+        """Two neighbouring doubles have no double strictly between them,
+        so their midpoint is one of them and must appear once."""
+        target = IntervalUnion(((0.25, 0.75),))
+        b = make_bundle(target)
+        near = np.nextafter(x, 1.0)
+        xs = np.array([x, near, np.nextafter(near, 1.0), 0.9])
+        vs = IntervalVersionSpace(2, (xs, predict_batch(target, xs)))
+        base, want = self.check(b, vs)
+        assert near in base and len(want) < 2 * len(base) - 1
+
+    def test_empty_version_space(self):
+        b = make_bundle(IntervalUnion(((0.2, 0.4),)))
+        vs = IntervalVersionSpace(1, [(0.1, 1), (0.5, -1), (0.9, 1)])
+        assert vs.is_empty()
+        base, want = self.check(b, vs)
+        assert len(want) == 2 * len(base) - 1

@@ -2,7 +2,7 @@
 ``BENCH_<label>.json``.
 
   python3 tools/bench_pairs.py --parent REV --label L --pairs N \
-      [--workload W ...]
+      [--workload W ...] [--self-pairs M [--self-workload W ...]]
 
 Run from the root of a checkout. Both sides run from fresh trees in two
 sibling temporary directories: the parent side is ``git archive REV``
@@ -21,6 +21,13 @@ quartiles, the number of pairs the change won (strictly better, in the
 direction BENCHMARK.json gives), whether the change's median beats
 the parent's by more than the parent's interquartile range, and the
 ``no_worse`` verdict against BENCHMARK.json's bound.
+
+With ``--self-pairs M``, each workload named by ``--self-workload`` (by
+default every workload run) also gets M parent-against-parent pairs,
+run right after its pairs at the same seeds, with the parent's tree on
+both sides. Their ``self_spread`` summary is the session's noise floor:
+how often identical code "wins", how far its median moves and how wide
+its runs spread, next to the claim it has to back.
 
 Per workload with enumerated classes, it also times one cell of the
 largest enumerated class the workload uses (the first
@@ -131,6 +138,42 @@ def summarize(pairs: list[dict], better: dict[str, str],
     return out
 
 
+def self_spread(pairs: list[dict], better: dict[str, str]) -> dict:
+    """``summarize`` of parent-against-parent pairs, plus per metric the
+    interquartile range of both sides' runs pooled, over their median, and
+    the median and largest gap within a pair, over its "parent" run.
+    A claimed gain smaller than these is inside the noise."""
+    out = summarize(pairs, better)
+    for name, row in out.items():
+        runs = [p[side][name] for p in pairs for side in ("parent", "change")]
+        pooled = quartiles(runs)
+        gaps = [abs(p["change"][name] - p["parent"][name]) / abs(p["parent"][name])
+                for p in pairs if p["parent"][name]]
+        row["pooled_iqr_over_median"] = (
+            (pooled["q3"] - pooled["q1"]) / pooled["median"]
+            if pooled["median"] else None)
+        row["pair_gap_median"] = statistics.median(gaps) if gaps else None
+        row["pair_gap_max"] = max(gaps) if gaps else None
+    return out
+
+
+def run_pairs(sides: dict[str, Path], workload: str, n: int,
+              seconds: float) -> list[dict]:
+    """n pairs of ``run_bench`` on sides["parent"] and sides["change"],
+    pair i at seed FIRST_SEED + i, the side that runs first alternating."""
+    pairs = []
+    for i in range(n):
+        seed = FIRST_SEED + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs = {side: run_bench(sides[side], workload, seed, seconds)
+                for side in order}
+        pairs.append({"seed": seed, "first": order[0], **runs})
+        print(f"{workload} seed {seed}: " + ", ".join(
+            f"{side} {runs[side]['metrics']['cells_per_s']:.3g} cells/s"
+            for side in order), file=sys.stderr, flush=True)
+    return pairs
+
+
 def machine() -> dict:
     model = ""
     try:
@@ -215,12 +258,17 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workload", action="append",
                     help="repeat for several; default every workload")
+    ap.add_argument("--self-pairs", type=int, default=0, metavar="M",
+                    help="parent-against-parent pairs per --self-workload")
+    ap.add_argument("--self-workload", action="append",
+                    help="repeat for several; default every workload run")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    self_workloads = args.self_workload or workloads
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent],
                          cwd=ROOT, capture_output=True, text=True,
                          check=True).stdout.strip()
@@ -251,16 +299,7 @@ def main(argv=None) -> int:
             raise SystemExit(f"git archive {rev} failed")
         copy_tree(ROOT, sides["change"])
         for workload in workloads:
-            pairs = []
-            for i in range(args.pairs):
-                seed = FIRST_SEED + i
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                runs = {side: run_bench(sides[side], workload, seed, seconds)
-                        for side in order}
-                pairs.append({"seed": seed, "first": order[0], **runs})
-                print(f"{workload} seed {seed}: " + ", ".join(
-                    f"{side} {runs[side]['metrics']['cells_per_s']:.3g} cells/s"
-                    for side in order), file=sys.stderr, flush=True)
+            pairs = run_pairs(sides, workload, args.pairs, seconds)
             report["workloads"][workload] = {
                 "summary": summarize(
                     [{s: p[s]["metrics"] for s in sides} for p in pairs],
@@ -268,6 +307,19 @@ def main(argv=None) -> int:
                 "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
                 "pairs": pairs,
             }
+            if args.self_pairs and workload in self_workloads:
+                both = {side: sides["parent"] for side in sides}
+                own = run_pairs(both, workload, args.self_pairs, seconds)
+                report["workloads"][workload]["self_pairs"] = {
+                    "what": "the parent against itself, same tree on both "
+                            "sides, at the seeds of the pairs above",
+                    "spread": self_spread(
+                        [{s: p[s]["metrics"] for s in sides} for p in own],
+                        better),
+                    "all_correct": all(p[s]["correct"] for p in own
+                                       for s in sides),
+                    "pairs": own,
+                }
             cells = first_cells(sides, workload)
             if cells is not None:
                 report["workloads"][workload]["first_cell"] = cells
